@@ -1,4 +1,4 @@
-"""Ablation — autodiff fast path: graph-free backward + compiled plans.
+"""Ablation — autodiff fast path: graph-free backward over cached plans.
 
 ``grad(..., create_graph=False)`` dispatches to :mod:`repro.autodiff.fastpath`:
 VJPs run on raw ndarrays (no cotangent graph is built), the traversal plan
@@ -8,14 +8,14 @@ and the logistic-regression hot path uses the fused
 
 * **meta-gradient leg** — the workload the paper's FedML algorithm runs
   (the per-node exact meta-gradient), fast path on vs. fully disabled.
-* **replay leg** — steady-state backward replay over a warm live graph,
-  compiled tier (arena kernels, ``out=`` buffers, zero allocations) vs.
-  the cached allocating tier, on paper-representative shapes.  Timing is
-  interleaved best-of so machine noise hits both tiers alike.
+* **replay leg** — steady-state backward replay over a warm live graph
+  through the cached plan and its reused accumulation buffers, on
+  paper-representative shapes.  Timing is best-of batches so one noisy
+  batch does not set the figure.
 
 Correctness is part of the record: every configuration must produce
-byte-identical gradients, and the compiled leg must report zero hot-path
-allocations after warm-up.
+byte-identical gradients, and each warm replay must match the reference
+backward bit for bit.
 
 Standalone mode writes the CI artifact ``BENCH_autodiff.json``::
 
@@ -63,7 +63,7 @@ def sweep(model, splits, params, alpha, repeats):
 
 
 # ----------------------------------------------------------------------
-# Replay leg: compiled tier vs the cached (PR-5) tier
+# Replay leg: warm backward through the cached plan
 # ----------------------------------------------------------------------
 #: Paper-representative backward shapes: the FEMNIST-style logistic head
 #: and small MLPs at the K-shot batch sizes the inner loop actually sees.
@@ -86,87 +86,57 @@ def _replay_problem(model, batch, seed=0):
     }
     inputs = [params[name] for name in sorted(params)]
     loss = cross_entropy(model.apply(params, x), y)
-    order = toposort(loss)
-    out = [np.empty(t.data.shape) for t in inputs]
-    return loss, inputs, order, out
+    return loss, inputs, toposort(loss)
 
 
-def _time_batch(loss, inputs, order, seed, out, inner):
+def _time_batch(loss, inputs, order, seed, inner):
     start = time.perf_counter()
     for _ in range(inner):
-        fastpath.backward(loss, inputs, order, seed, out=out)
+        fastpath.backward(loss, inputs, order, seed)
     return time.perf_counter() - start
 
 
 def replay_shape(name, model, batch, repeats, inner=20):
-    """Best-of interleaved timing of one shape's steady-state backward."""
-    loss, inputs, order, out = _replay_problem(model, batch)
+    """Best-of timing of one shape's steady-state backward."""
+    loss, inputs, order = _replay_problem(model, batch)
     seed = np.array(1.0)
 
     with fastpath.disabled():
         reference = [t.data.copy() for t in grad(loss, inputs)]
 
-    # Warm both tiers: plan build, then arm + compile on the live graph.
-    previous = fastpath.set_mode("cached")
-    fastpath.backward(loss, inputs, order, seed, out=out)
-    fastpath.set_mode(previous)
-    for _ in range(3):
-        fastpath.backward(loss, inputs, order, seed, out=out)
-
-    # Steady-state allocation audit on one warm compiled call.
-    before = fastpath.stats().as_dict()
-    fastpath.backward(loss, inputs, order, seed, out=out)
-    delta = fastpath.stats().delta_since(before)
-    allocations = int(delta["hot_allocations"])
+    # Warm the plan (and its accumulation buffers), then check a warm call.
+    fastpath.backward(loss, inputs, order, seed)
+    replayed = fastpath.backward(loss, inputs, order, seed)
     bit_identical = all(
-        buf.tobytes() == ref.tobytes() for buf, ref in zip(out, reference)
+        got.tobytes() == ref.tobytes() for got, ref in zip(replayed, reference)
     )
 
-    compiled_best = float("inf")
-    cached_best = float("inf")
+    best = float("inf")
     for _ in range(max(repeats, 3)):
-        compiled_best = min(
-            compiled_best, _time_batch(loss, inputs, order, seed, out, inner)
-        )
-        previous = fastpath.set_mode("cached")
-        cached_best = min(
-            cached_best, _time_batch(loss, inputs, order, seed, out, inner)
-        )
-        fastpath.set_mode(previous)
+        best = min(best, _time_batch(loss, inputs, order, seed, inner))
 
     return {
         "shape": name,
         "batch": batch,
-        "compiled_calls_per_sec": inner / compiled_best,
-        "cached_calls_per_sec": inner / cached_best,
-        "speedup": cached_best / compiled_best,
+        "cached_calls_per_sec": inner / best,
         "bit_identical": bit_identical,
-        "steady_state_allocations": allocations,
     }
 
 
 def run_replay(repeats=5):
-    """The replay leg over every shape; geomean speedup is the headline."""
+    """The replay leg over every shape; geomean throughput is the headline."""
     fastpath.enable()
     fastpath.clear_cache()
     shapes = [
         replay_shape(name, model, batch, repeats)
         for name, model, batch in REPLAY_SHAPES
     ]
-    speedups = np.array([s["speedup"] for s in shapes])
-    allocations = int(sum(s["steady_state_allocations"] for s in shapes))
     return {
         "replay_shapes": shapes,
-        "replay_speedup": float(np.exp(np.mean(np.log(speedups)))),
-        "replay_compiled_calls_per_sec": float(
-            np.exp(np.mean(np.log([s["compiled_calls_per_sec"] for s in shapes])))
-        ),
         "replay_cached_calls_per_sec": float(
             np.exp(np.mean(np.log([s["cached_calls_per_sec"] for s in shapes])))
         ),
         "replay_bit_identical": bool(all(s["bit_identical"] for s in shapes)),
-        "steady_state_allocations": allocations,
-        "steady_state_zero_alloc": allocations == 0,
     }
 
 
@@ -214,13 +184,7 @@ def test_ablation_autodiff_fastpath(benchmark):
     assert result["speedup"] > 1.0, (
         f"fast path slower than reference: {result['speedup']:.2f}x"
     )
-    assert result["replay_bit_identical"], "compiled replay diverged"
-    assert result["steady_state_zero_alloc"], (
-        f"warm compiled replay allocated: {result['steady_state_allocations']}"
-    )
-    assert result["replay_speedup"] > 1.0, (
-        f"compiled tier slower than cached: {result['replay_speedup']:.2f}x"
-    )
+    assert result["replay_bit_identical"], "warm replay diverged"
 
 
 def main():
@@ -243,14 +207,11 @@ def main():
     )
     for shape in result["replay_shapes"]:
         print(
-            f"  replay {shape['shape']}: {shape['speedup']:.2f}x "
-            f"({shape['compiled_calls_per_sec']:.0f}/s compiled, "
-            f"{shape['cached_calls_per_sec']:.0f}/s cached, "
-            f"allocs={shape['steady_state_allocations']})"
+            f"  replay {shape['shape']}: "
+            f"{shape['cached_calls_per_sec']:.0f}/s"
         )
     print(
-        f"  replay geomean {result['replay_speedup']:.2f}x, "
-        f"zero_alloc={result['steady_state_zero_alloc']}, "
+        f"  replay geomean {result['replay_cached_calls_per_sec']:.0f}/s, "
         f"bit_identical={result['replay_bit_identical']}"
     )
     ok = result["bit_identical"] and result["replay_bit_identical"]

@@ -71,9 +71,7 @@ class TapeProfiler:
     #: Total nodes visited across those traversals.
     walked_nodes: int = 0
     #: Hot-path ndarray allocations reported by the backward fast path:
-    #: per-edge VJP allocations plus result copies.  Compiled arena replay
-    #: with ``out=`` buffers reports zero here after warm-up — the
-    #: zero-allocation contract the benchmarks gate on.
+    #: per-edge VJP allocations plus result copies.
     allocations: int = 0
 
     # -- recording (called from the ops hook / timing wrappers) ---------

@@ -64,11 +64,10 @@ class Regression:
 def gated_metrics(result: dict) -> Dict[str, dict]:
     """Derive the gate spec for one benchmark result (used when seeding).
 
-    Flags gate exactly, ``speedup`` (and any ``*_speedup`` ratio, e.g. the
-    compiled-backward ``replay_speedup``) gates as a ratio, ``*_per_sec``
-    throughput gates with the wide band.  Everything else (configuration
-    echoes like ``nodes``/``cpus``, nested stats) is informational and
-    stays ungated.
+    Flags gate exactly, ``speedup`` (and any ``*_speedup`` ratio) gates as
+    a ratio, ``*_per_sec`` throughput gates with the wide band.  Everything
+    else (configuration echoes like ``nodes``/``cpus``, nested stats) is
+    informational and stays ungated.
     """
     spec: Dict[str, dict] = {}
     for key, value in result.items():

@@ -60,7 +60,8 @@ class TestFleetSchema:
         assert FLEET_KINDS <= EVENT_KINDS
 
     def test_adding_kinds_bumped_the_schema_version(self):
-        assert EVENT_SCHEMA_VERSION == 2
+        # v2 added the fleet kinds; v3 removed vectorized_block fields.
+        assert EVENT_SCHEMA_VERSION == 3
 
     def test_fleet_run_emits_only_known_v2_events(self):
         events = read_events(fleet_records())
