@@ -10,6 +10,7 @@ from .maml import MAML, inner_adapt, meta_gradient, meta_loss
 from .meta_sgd import FederatedMetaSGD, MetaSGDConfig, MetaSGDResult
 from .reptile import FederatedReptile, ReptileConfig, ReptileResult
 from .robust import RobustFedML, RobustFedMLConfig, RobustFedMLResult
+from .runner import EngineRunner
 
 __all__ = [
     "ADMLConfig",
@@ -24,6 +25,7 @@ __all__ = [
     "AdaptationCurve",
     "adapt",
     "evaluate_adaptation",
+    "EngineRunner",
     "FedAvg",
     "FedAvgConfig",
     "FedAvgResult",

@@ -11,7 +11,9 @@ each node's contribution the moment it arrives,
 
 discounting by how many global versions elapsed since the node last
 synchronized.  Here the node contribution is a *meta*-update: each node
-runs ``t0`` local FedML steps (eqs. 3–4) between uploads.
+runs ``t0`` local FedML steps (eqs. 3–4) between uploads — the same
+:class:`~repro.engine.MetaStrategy` step and global meta-loss the
+synchronous :class:`~repro.core.FedML` trains with.
 
 The simulation is event-driven: device compute times come from
 :class:`~repro.federated.simulation.DeviceProfile`, so fast devices
@@ -27,15 +29,16 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..data.dataset import FederatedDataset
-from ..federated.node import EdgeNode, build_nodes
+from ..engine import MetaStrategy
+from ..federated.node import EdgeNode
 from ..federated.simulation import DeviceProfile
 from ..nn.losses import cross_entropy
 from ..nn.modules import Model
-from ..nn.parameters import Params, add_scaled, detach
+from ..nn.parameters import Params, detach
 from ..obs.telemetry import Telemetry, resolve
 from ..utils.logging import RunLogger
 from ..utils.serialization import payload_bytes
-from .maml import LossFn, meta_gradient, meta_loss
+from .maml import LossFn
 
 __all__ = ["AsyncFedMLConfig", "AsyncFedMLResult", "AsyncFedML"]
 
@@ -69,6 +72,8 @@ class AsyncFedMLConfig:
             raise ValueError("staleness_power must be non-negative")
         if self.t0 < 1 or self.total_uploads < 1 or self.k < 1:
             raise ValueError("t0, total_uploads and k must be >= 1")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
 
 
 @dataclass
@@ -104,39 +109,11 @@ class AsyncFedML:
         self.config = config
         self.loss_fn = loss_fn
         self.telemetry = telemetry
-
-    # ------------------------------------------------------------------
-    def _local_contribution(self, node: EdgeNode, start: Params) -> Params:
-        """Run t0 local meta-steps from ``start``; return the new params."""
-        cfg = self.config
-        params = detach(start)
-        for _ in range(cfg.t0):
-            gradient, _ = meta_gradient(
-                self.model,
-                params,
-                node.split,
-                cfg.alpha,
-                inner_steps=cfg.inner_steps,
-                loss_fn=self.loss_fn,
-                first_order=cfg.first_order,
-            )
-            params = add_scaled(params, gradient, -cfg.beta)
-            node.record_local_step()
-        return params
+        self.strategy = MetaStrategy(model, config, loss_fn)
 
     def global_meta_loss(self, params: Params, nodes: Sequence[EdgeNode]) -> float:
-        total = 0.0
-        weight_sum = sum(node.weight for node in nodes)
-        for node in nodes:
-            total += (
-                node.weight
-                / weight_sum
-                * meta_loss(
-                    self.model, params, node.split, self.config.alpha,
-                    inner_steps=self.config.inner_steps, loss_fn=self.loss_fn,
-                )
-            )
-        return total
+        """``G(theta) = Σ ω_i G_i(theta)`` over the source nodes."""
+        return self.strategy.global_meta_loss(params, nodes)
 
     # ------------------------------------------------------------------
     def fit(
@@ -148,8 +125,7 @@ class AsyncFedML:
     ) -> AsyncFedMLResult:
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
-        datasets = [federated.nodes[i] for i in source_ids]
-        nodes = build_nodes(datasets, cfg.k, node_ids=list(source_ids))
+        nodes = self.strategy.build_nodes(federated, source_ids)
         if len(fleet) != len(nodes):
             raise ValueError(
                 f"fleet has {len(fleet)} devices but there are {len(nodes)} "
@@ -192,7 +168,10 @@ class AsyncFedML:
             finish_time, idx, started_version = heapq.heappop(events)
             node = nodes[idx]
             with tel.span("local_steps", node=idx):
-                contribution = self._local_contribution(node, pending[idx])
+                node.params = pending[idx]
+                for _ in range(cfg.t0):
+                    self.strategy.local_step(node)
+            contribution = node.params
             uploads_total.inc()
             bytes_up.inc(upload_bytes)
 

@@ -72,6 +72,20 @@ class EngineResult:
     platform: Platform
     history: RunLogger
 
+    @property
+    def global_meta_losses(self) -> List[float]:
+        """The logged ``global_meta_loss`` series (meta-learning strategies)."""
+        return self.history.series("global_meta_loss")
+
+    @property
+    def global_losses(self) -> List[float]:
+        """The logged ``global_loss`` series (FedAvg / FedProx)."""
+        return self.history.series("global_loss")
+
+    @property
+    def uplink_bytes(self) -> int:
+        return self.platform.comm_log.uplink_bytes
+
 
 @dataclass(frozen=True)
 class EngineOptions:

@@ -1,4 +1,14 @@
-"""Tests for asynchronous staleness-aware FedML."""
+"""Tests for asynchronous staleness-aware FedML.
+
+``async_trace.json`` pins one small run (final params, history records,
+upload times, staleness) as captured from the implementation that trained
+with its own meta-step; regenerate it only from a known-good revision::
+
+    PYTHONPATH=src python tests/core/test_async_fedml.py
+"""
+
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,14 +21,19 @@ from repro.nn.parameters import to_vector
 
 MODEL = LogisticRegression(60, 10)
 LINK = LinkModel()
+TRACE = pathlib.Path(__file__).with_name("async_trace.json")
 
 
-@pytest.fixture(scope="module")
-def workload():
+def build_workload():
     fed = generate_synthetic(
         SyntheticConfig(alpha=0.5, beta=0.5, num_nodes=8, mean_samples=20, seed=1)
     )
     return fed, list(range(8))
+
+
+@pytest.fixture(scope="module")
+def workload():
+    return build_workload()
 
 
 def uniform_fleet(n, speed=0.05):
@@ -126,3 +141,56 @@ class TestAsyncFedML:
             discounted.global_meta_losses[-1]
             <= undamped.global_meta_losses[-1] * 1.25
         )
+
+
+def trace_run(workload):
+    """The pinned run: a skewed fleet (so staleness is non-trivial) and an
+    ``eval_every`` that does not divide ``total_uploads``."""
+    fed, sources = workload
+    fleet = [
+        DeviceProfile(i, 0.01 if i % 2 == 0 else 0.2, LINK)
+        for i in range(len(sources))
+    ]
+    config = AsyncFedMLConfig(
+        alpha=0.05, beta=0.05, t0=3, total_uploads=30, k=5, eval_every=7,
+        seed=0,
+    )
+    return AsyncFedML(MODEL, config).fit(fed, sources, fleet)
+
+
+def test_matches_pinned_trace(workload):
+    """Same tolerances as ``tests/engine/test_seed_equivalence.py``."""
+    result = trace_run(workload)
+    golden = json.loads(TRACE.read_text())
+
+    np.testing.assert_allclose(
+        to_vector(result.params), np.array(golden["final_params"]),
+        rtol=1e-9, atol=0,
+    )
+    records = result.history.records
+    assert len(records) == len(golden["records"])
+    for record, expected in zip(records, golden["records"]):
+        assert set(record) == set(expected)
+        for key in expected:
+            np.testing.assert_allclose(
+                record[key], expected[key], rtol=1e-9, atol=0, err_msg=key
+            )
+    np.testing.assert_allclose(
+        result.upload_times, golden["upload_times"], rtol=1e-9, atol=0
+    )
+    assert result.staleness == golden["staleness"]
+
+
+def capture_trace():
+    result = trace_run(build_workload())
+    TRACE.write_text(json.dumps({
+        "final_params": to_vector(result.params).tolist(),
+        "records": result.history.records,
+        "upload_times": result.upload_times,
+        "staleness": result.staleness,
+    }, indent=1) + "\n")
+    print(f"wrote {TRACE}")
+
+
+if __name__ == "__main__":
+    capture_trace()

@@ -43,6 +43,11 @@ class TestRobustConfig:
             {"n0": 0},
             {"r_max": -1},
             {"alpha": 0.0},
+            # the FedML knobs are validated by the FedMLConfig base
+            {"t0": 0},
+            {"k": 0},
+            {"total_iterations": 0},
+            {"eval_every": 0},
         ],
     )
     def test_invalid_raises(self, kwargs):
