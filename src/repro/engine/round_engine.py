@@ -194,7 +194,7 @@ class RoundEngine:
         total = cfg.total_iterations
         num_blocks = (total + cfg.t0 - 1) // cfg.t0
         if injector is not None:
-            injector.begin([n.node_id for n in nodes], num_blocks)
+            injector.begin([n.node_id for n in nodes])
 
         history = RunLogger(
             name=name,

@@ -8,16 +8,20 @@ lost/corrupted/delayed updates and flaky executor workers; a
 (bounded retry, straggler timeout, NaN quarantine, participant floor); and
 the :class:`FaultInjector` wires the two into
 :class:`~repro.engine.RoundEngine` between local steps and aggregation.
+The plan interprets itself one ``(block, node)`` cell at a time, and the
+:class:`~repro.federated.fleet.FleetSimulator` asks it the same per-cell
+queries, so one plan means the same faults on both drivers.
 
 The contract throughout: same seed + same plan ⇒ bit-identical results,
-across executors and across checkpoint/resume boundaries.  See
+across executors and across checkpoint/resume boundaries; and each cell's
+decision, rate schedules included, is a pure function of the plan seed
+and the cell, unmoved by the run's other nodes or its length.  See
 ``docs/ENGINE.md`` (integration) and ``docs/TESTING.md`` (chaos suite).
 """
 
 from .injector import FaultInjector, RunInterrupted
 from .plan import (
     FAULT_KINDS,
-    CompiledPlan,
     CorruptSchedule,
     CrashSchedule,
     DelaySchedule,
@@ -33,7 +37,6 @@ from .policy import FaultToleranceError, ResiliencePolicy
 
 __all__ = [
     "FAULT_KINDS",
-    "CompiledPlan",
     "CorruptSchedule",
     "CrashSchedule",
     "DelaySchedule",

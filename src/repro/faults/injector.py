@@ -1,9 +1,10 @@
 """The engine's single integration point with the fault subsystem.
 
-A :class:`FaultInjector` binds a compiled :class:`~repro.faults.plan.FaultPlan`
-to a :class:`~repro.faults.policy.ResiliencePolicy` and a telemetry
-collector.  The :class:`~repro.engine.round_engine.RoundEngine` consults it
-at two points per block:
+A :class:`FaultInjector` binds a :class:`~repro.faults.plan.FaultPlan` to
+one run's node ids, a :class:`~repro.faults.policy.ResiliencePolicy` and a
+telemetry collector.  The
+:class:`~repro.engine.round_engine.RoundEngine` consults it at two points
+per block:
 
 1. **before local steps** — which nodes are crashed (skip their block) and
    which workers fail flakily (charge bounded retries, or fail the block
@@ -14,25 +15,23 @@ at two points per block:
    which are quarantined for non-finite values; and how the
    minimum-participant floor backfills the survivor set.
 
-Every decision is a pure function of ``(plan seed, block, node)`` — the
-injector never looks at wall-clock time or execution order, which is what
-keeps faulty runs bit-identical across serial and parallel executors and
-across checkpoint/resume boundaries.
+Every decision comes from the plan's per-cell queries, a pure function of
+``(plan seed, block, node)`` — the injector never looks at wall-clock
+time, execution order or the rest of the node set, which is what keeps
+faulty runs bit-identical across serial and parallel executors and across
+checkpoint/resume boundaries.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
-from ..autodiff import Tensor
 from ..federated.node import EdgeNode
-from ..nn.parameters import Params
+from ..federated.simulation import deadline_survivors
+from ..nn.parameters import all_finite
 from ..obs.telemetry import Telemetry, resolve
-from ..utils.rng import RngFactory
 from ..utils.serialization import payload_bytes
-from .plan import CompiledPlan, FaultEvent, FaultPlan
+from .plan import FaultPlan
 from .policy import FaultToleranceError, ResiliencePolicy
 
 __all__ = ["FaultInjector", "RunInterrupted"]
@@ -70,17 +69,16 @@ class FaultInjector:
         self.plan = plan if plan is not None else FaultPlan.none()
         self.policy = policy if policy is not None else ResiliencePolicy()
         self._tel = resolve(telemetry)
-        # empty until begin(); compiling the real plan here would reject
-        # explicit events that target nodes we have not been told about yet
-        self._compiled: CompiledPlan = FaultPlan.none().compile([], 0)
-        self._rngs = RngFactory(self.plan.seed)
+        #: the run's node ids, ascending; set by begin()
+        self._node_ids: List[int] = []
         #: simulated run clock (seconds) accumulated over blocks
         self.sim_clock_s = 0.0
 
     # -- lifecycle ------------------------------------------------------
-    def begin(self, node_ids: Sequence[int], num_blocks: int) -> None:
-        """Compile the plan for this run and pre-register the counters."""
-        self._compiled = self.plan.compile(node_ids, num_blocks)
+    def begin(self, node_ids: Sequence[int]) -> None:
+        """Bind the plan to this run's nodes and pre-register the counters."""
+        self.plan.check_nodes(set(node_ids))
+        self._node_ids = sorted(node_ids)
         for kind in ("crash", "drop", "corrupt", "delay", "flaky"):
             self._tel.counter("fl_faults_total", kind=kind)
         self._tel.counter("fl_retries_total")
@@ -120,9 +118,11 @@ class FaultInjector:
     # -- before local steps ---------------------------------------------
     def crashed(self, block: int) -> Set[int]:
         """Node ids down for this block (counted once per node-block)."""
-        downed = self._compiled.crashed_nodes(block)
-        for node_id in sorted(downed):
-            self.record_fault("crash", block=block, node=node_id)
+        downed: Set[int] = set()
+        for node_id in self._node_ids:
+            if self.plan.crashed(block, node_id):
+                self.record_fault("crash", block=block, node=node_id)
+                downed.add(node_id)
         return downed
 
     def simulate_flaky(
@@ -137,7 +137,7 @@ class FaultInjector:
         failed: Set[int] = set()
         backoff: Dict[int, float] = {}
         for node_id in sorted(node_ids):
-            fail_times = self._compiled.flaky.get((block, node_id), 0)
+            fail_times = self.plan.flaky(block, node_id)
             if fail_times == 0:
                 continue
             self.record_fault("flaky", block=block, node=node_id)
@@ -152,7 +152,7 @@ class FaultInjector:
         return failed, backoff
 
     def kill_scheduled(self, block: int) -> bool:
-        return block in self._compiled.kills
+        return self.plan.kill_after(block)
 
     # -- between local steps and aggregation ----------------------------
     def filter_updates(
@@ -176,18 +176,17 @@ class FaultInjector:
         for node in selected:
             if node.node_id in stale_ids:
                 continue
-            key = (block, node.node_id)
-            if key in self._compiled.drops:
+            if self.plan.dropped(block, node.node_id):
                 self.record_fault("drop", block=block, node=node.node_id)
                 dropped.append(node)
                 continue
-            corrupt = self._compiled.corrupts.get(key)
+            corrupt = self.plan.corruption(block, node.node_id)
             if corrupt is not None and node.params is not None:
-                node.params = self._corrupt_params(
+                node.params = self.plan.corrupt(
                     node.params, corrupt, block, node.node_id
                 )
                 self.record_fault("corrupt", block=block, node=node.node_id)
-            plan_delay = self._compiled.delays.get(key, 0.0)
+            plan_delay = self.plan.delay_s(block, node.node_id)
             if plan_delay:
                 self.record_fault("delay", block=block, node=node.node_id)
                 delays[node.node_id] = delays.get(node.node_id, 0.0) + plan_delay
@@ -209,24 +208,6 @@ class FaultInjector:
         return kept
 
     # ------------------------------------------------------------------
-    def _corrupt_params(
-        self, params: Params, event: FaultEvent, block: int, node_id: int
-    ) -> Params:
-        """Return a corrupted copy of ``params`` (never mutated in place)."""
-        rng = self._rngs.stream("corrupt", block, node_id)
-        out: Params = {}
-        for name in sorted(params):
-            data = np.array(params[name].data, dtype=np.float64, copy=True)
-            if event.mode == "scale":
-                data *= event.scale
-            elif event.fraction >= 1.0:
-                data[...] = np.nan
-            else:
-                mask = rng.random(data.shape) < event.fraction
-                data[mask] = np.nan
-            out[name] = Tensor(data)
-        return out
-
     def _block_time_s(
         self, node: EdgeNode, delays: Dict[int, float], steps: int
     ) -> float:
@@ -254,18 +235,13 @@ class FaultInjector:
             n.node_id: self._block_time_s(n, delays, steps)
             for n in available
         }
+        by_id = {n.node_id: n for n in available}
         kept = [
-            n for n in available if times[n.node_id] <= policy.round_timeout_s
+            by_id[node_id]
+            for node_id in deadline_survivors(
+                times, policy.round_timeout_s, policy.min_participants
+            )
         ]
-        if len(kept) < policy.min_participants:
-            # Keep the fastest nodes even past the deadline (ties broken by
-            # node id, so the choice is deterministic).
-            ordered = sorted(
-                available, key=lambda n: (times[n.node_id], n.node_id)
-            )
-            kept = sorted(
-                ordered[: policy.min_participants], key=lambda n: n.node_id
-            )
         kept_ids = {n.node_id for n in kept}
         stragglers = [n for n in available if n.node_id not in kept_ids]
         if stragglers:
@@ -285,10 +261,7 @@ class FaultInjector:
         healthy: List[EdgeNode] = []
         quarantined: List[EdgeNode] = []
         for node in kept:
-            params = node.params
-            finite = params is not None and all(
-                np.isfinite(t.data).all() for t in params.values()
-            )
+            finite = node.params is not None and all_finite(node.params)
             (healthy if finite else quarantined).append(node)
         if quarantined:
             self._tel.counter("fl_quarantined_total").inc(len(quarantined))
@@ -316,10 +289,6 @@ class FaultInjector:
             for node in sorted(pool, key=lambda n: n.node_id):
                 if len(reinstated) >= floor:
                     break
-                params = node.params
-                finite = params is not None and all(
-                    np.isfinite(t.data).all() for t in params.values()
-                )
-                if finite:
+                if node.params is not None and all_finite(node.params):
                     reinstated.append(node)
         return reinstated

@@ -1,16 +1,18 @@
 """Deterministic fault plans: *what* goes wrong, *when*, to *whom*.
 
-A :class:`FaultPlan` composes schedules — each one a small generator of
-:class:`FaultEvent` records keyed by ``(block, node)`` — and compiles them
-against a concrete run (node ids + block count) into fast lookup tables the
-:class:`~repro.faults.injector.FaultInjector` consults every block.
+A :class:`FaultPlan` composes schedules — frozen, validated data: a rate
+at which each ``(block, node)`` cell is hit, a kill block, or a literal
+list of :class:`FaultEvent` records — and interprets them one cell at a
+time.  :meth:`FaultPlan.hits` is the only place a plan turns into
+decisions; the round engine's :class:`~repro.faults.injector.FaultInjector`
+and the :class:`~repro.federated.fleet.FleetSimulator` both ask the same
+per-kind queries of it, so one plan means the same faults on both drivers.
 
-Everything is derived from the plan's seed through named
-:mod:`repro.utils.rng` streams, so the same ``(seed, schedules)`` pair
-always produces the same faults regardless of executor, worker count, or
-whether the run was resumed from a checkpoint mid-way.  That determinism is
-the subsystem's headline guarantee: a faulty run is as bit-reproducible as
-a clean one.
+Every decision is a pure function of ``(plan seed, schedule, kind, block,
+node)`` through named :mod:`repro.utils.rng` streams: it does not depend
+on executor, worker count, resume point, which other nodes the run has,
+or how many blocks it runs.  That determinism is the subsystem's headline
+guarantee: a faulty run is as bit-reproducible as a clean one.
 
 Fault kinds
 -----------
@@ -43,11 +45,25 @@ Fault kinds
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Container,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
-from ..utils.rng import RngFactory
+from ..autodiff import Tensor
+from ..nn.parameters import Params
+from ..utils.rng import spawn
 
 __all__ = [
     "FaultEvent",
@@ -59,7 +75,6 @@ __all__ = [
     "FlakyWorkerSchedule",
     "KillSchedule",
     "ExplicitSchedule",
-    "CompiledPlan",
     "FaultPlan",
     "FAULT_KINDS",
 ]
@@ -99,42 +114,31 @@ class FaultEvent:
 
 
 class FaultSchedule:
-    """Base class: a deterministic generator of fault events."""
+    """Base class: one validated, frozen source of fault events.
+
+    Rate schedules hit every ``(block, node)`` cell independently with
+    probability ``rate``; their other fields are the :class:`FaultEvent`
+    fields of the same name that a hit cell receives.  Construction
+    validates every field, so a bad schedule fails where it is written,
+    not when a run first queries it.
+    """
 
     kind: str = "?"
+    rate: float
 
-    def events(
-        self,
-        node_ids: Sequence[int],
-        num_blocks: int,
-        rng: np.random.Generator,
-    ) -> List[FaultEvent]:
-        raise NotImplementedError
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.rate <= 1.0:
+            raise ValueError("rate must be in [0, 1]")
+        self.event(0, 0)  # FaultEvent's own checks cover the other fields
 
-
-def _bernoulli_cells(
-    node_ids: Sequence[int],
-    num_blocks: int,
-    rate: float,
-    rng: np.random.Generator,
-) -> List[Tuple[int, int]]:
-    """i.i.d. ``(block, node_id)`` cells hit with probability ``rate``.
-
-    Draws are made in a fixed (block-major, node-order) sequence so the hit
-    set depends only on the stream, not on container ordering.
-    """
-    hits: List[Tuple[int, int]] = []
-    for block in range(num_blocks):
-        for node_id in node_ids:
-            if rng.random() < rate:
-                hits.append((block, node_id))
-    return hits
-
-
-def _check_rate(rate: float) -> float:
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must be in [0, 1]")
-    return rate
+    def event(self, block: int, node_id: int) -> FaultEvent:
+        """The fault a hit on cell ``(block, node_id)`` injects."""
+        extra = {
+            name: value
+            for name, value in vars(self).items()
+            if name not in ("kind", "rate")
+        }
+        return FaultEvent(self.kind, block, node_id, **extra)
 
 
 @dataclass(frozen=True)
@@ -145,20 +149,6 @@ class CrashSchedule(FaultSchedule):
     duration: int = 1
     kind: str = field(default="crash", init=False)
 
-    def events(
-        self,
-        node_ids: Sequence[int],
-        num_blocks: int,
-        rng: np.random.Generator,
-    ) -> List[FaultEvent]:
-        _check_rate(self.rate)
-        return [
-            FaultEvent("crash", block, node_id, duration=self.duration)
-            for block, node_id in _bernoulli_cells(
-                node_ids, num_blocks, self.rate, rng
-            )
-        ]
-
 
 @dataclass(frozen=True)
 class DropSchedule(FaultSchedule):
@@ -166,20 +156,6 @@ class DropSchedule(FaultSchedule):
 
     rate: float
     kind: str = field(default="drop", init=False)
-
-    def events(
-        self,
-        node_ids: Sequence[int],
-        num_blocks: int,
-        rng: np.random.Generator,
-    ) -> List[FaultEvent]:
-        _check_rate(self.rate)
-        return [
-            FaultEvent("drop", block, node_id)
-            for block, node_id in _bernoulli_cells(
-                node_ids, num_blocks, self.rate, rng
-            )
-        ]
 
 
 @dataclass(frozen=True)
@@ -192,27 +168,6 @@ class CorruptSchedule(FaultSchedule):
     scale: float = 10.0
     kind: str = field(default="corrupt", init=False)
 
-    def events(
-        self,
-        node_ids: Sequence[int],
-        num_blocks: int,
-        rng: np.random.Generator,
-    ) -> List[FaultEvent]:
-        _check_rate(self.rate)
-        return [
-            FaultEvent(
-                "corrupt",
-                block,
-                node_id,
-                mode=self.mode,
-                fraction=self.fraction,
-                scale=self.scale,
-            )
-            for block, node_id in _bernoulli_cells(
-                node_ids, num_blocks, self.rate, rng
-            )
-        ]
-
 
 @dataclass(frozen=True)
 class DelaySchedule(FaultSchedule):
@@ -221,20 +176,6 @@ class DelaySchedule(FaultSchedule):
     rate: float
     delay_s: float = 1.0
     kind: str = field(default="delay", init=False)
-
-    def events(
-        self,
-        node_ids: Sequence[int],
-        num_blocks: int,
-        rng: np.random.Generator,
-    ) -> List[FaultEvent]:
-        _check_rate(self.rate)
-        return [
-            FaultEvent("delay", block, node_id, delay_s=self.delay_s)
-            for block, node_id in _bernoulli_cells(
-                node_ids, num_blocks, self.rate, rng
-            )
-        ]
 
 
 @dataclass(frozen=True)
@@ -245,20 +186,6 @@ class FlakyWorkerSchedule(FaultSchedule):
     fail_times: int = 1
     kind: str = field(default="flaky", init=False)
 
-    def events(
-        self,
-        node_ids: Sequence[int],
-        num_blocks: int,
-        rng: np.random.Generator,
-    ) -> List[FaultEvent]:
-        _check_rate(self.rate)
-        return [
-            FaultEvent("flaky", block, node_id, fail_times=self.fail_times)
-            for block, node_id in _bernoulli_cells(
-                node_ids, num_blocks, self.rate, rng
-            )
-        ]
-
 
 @dataclass(frozen=True)
 class KillSchedule(FaultSchedule):
@@ -267,15 +194,9 @@ class KillSchedule(FaultSchedule):
     block: int
     kind: str = field(default="kill", init=False)
 
-    def events(
-        self,
-        node_ids: Sequence[int],
-        num_blocks: int,
-        rng: np.random.Generator,
-    ) -> List[FaultEvent]:
+    def __post_init__(self) -> None:
         if self.block < 0:
             raise ValueError("block must be non-negative")
-        return [FaultEvent("kill", self.block)]
 
 
 @dataclass(frozen=True)
@@ -285,115 +206,147 @@ class ExplicitSchedule(FaultSchedule):
     fault_events: Tuple[FaultEvent, ...]
     kind: str = field(default="explicit", init=False)
 
-    def events(
-        self,
-        node_ids: Sequence[int],
-        num_blocks: int,
-        rng: np.random.Generator,
-    ) -> List[FaultEvent]:
-        return list(self.fault_events)
-
-
-@dataclass(frozen=True)
-class CompiledPlan:
-    """A plan resolved against one run's node ids and block count."""
-
-    crashes: Dict[int, Set[int]]  # node_id -> blocks the node is down
-    drops: Set[Tuple[int, int]]  # (block, node_id)
-    corrupts: Dict[Tuple[int, int], FaultEvent]
-    delays: Dict[Tuple[int, int], float]
-    flaky: Dict[Tuple[int, int], int]  # (block, node_id) -> fail count
-    kills: Set[int]  # blocks after which the run dies
-
-    @property
-    def empty(self) -> bool:
-        return not (
-            self.crashes
-            or self.drops
-            or self.corrupts
-            or self.delays
-            or self.flaky
-            or self.kills
-        )
-
-    def crashed_nodes(self, block: int) -> Set[int]:
-        return {
-            node_id
-            for node_id, blocks in self.crashes.items()
-            if block in blocks
-        }
-
-
-_EMPTY_COMPILED = CompiledPlan(
-    crashes={}, drops=set(), corrupts={}, delays={}, flaky={}, kills=set()
-)
+    def __post_init__(self) -> None:
+        pass  # every FaultEvent validated itself
 
 
 class FaultPlan:
-    """A seeded, composable collection of fault schedules."""
+    """A seeded, composable collection of fault schedules.
+
+    The plan is interpreted one ``(block, node)`` cell at a time by
+    :meth:`hits`; the per-kind queries (:meth:`crashed`, :meth:`dropped`,
+    :meth:`delay_s`, :meth:`corruption`, :meth:`flaky`,
+    :meth:`kill_after`) reduce its events, and :meth:`corrupt` applies a
+    corruption.  None of them depends on which other nodes or blocks a
+    run has.
+    """
 
     def __init__(
         self, schedules: Sequence[FaultSchedule] = (), seed: int = 0
     ) -> None:
         self.schedules: Tuple[FaultSchedule, ...] = tuple(schedules)
         self.seed = int(seed)
+        # Lookup indexes over the frozen schedules: per kind, the
+        # (index, schedule) pairs that can hit it, in plan order; explicit
+        # events by (schedule index, kind, node); kill blocks.
+        self._by_kind: Dict[str, List[Tuple[int, FaultSchedule]]] = {}
+        self._explicit: Dict[Tuple[int, str, int], List[FaultEvent]] = {}
+        self._kills: Set[int] = set()
+        for index, schedule in enumerate(self.schedules):
+            if isinstance(schedule, KillSchedule):
+                self._kills.add(schedule.block)
+            elif isinstance(schedule, ExplicitSchedule):
+                for event in schedule.fault_events:
+                    if event.kind == "kill":
+                        self._kills.add(event.block)
+                        continue
+                    pairs = self._by_kind.setdefault(event.kind, [])
+                    if not pairs or pairs[-1][0] != index:
+                        pairs.append((index, schedule))
+                    key = (index, event.kind, event.node_id)
+                    self._explicit.setdefault(key, []).append(event)
+            else:
+                self._by_kind.setdefault(schedule.kind, []).append(
+                    (index, schedule)
+                )
+        kinds = set(self._by_kind)
+        if self._kills:
+            kinds.add("kill")
+        #: fault kinds the plan can inject
+        self.kinds: FrozenSet[str] = frozenset(kinds)
 
     @classmethod
     def none(cls, seed: int = 0) -> "FaultPlan":
         """The empty plan: the subsystem active, no faults injected."""
         return cls((), seed=seed)
 
-    def compile(
-        self, node_ids: Sequence[int], num_blocks: int
-    ) -> CompiledPlan:
-        """Resolve schedules into lookup tables for one concrete run.
+    def check_nodes(self, node_ids: Container[int]) -> None:
+        """Bind the plan to a run: reject explicit events naming a node
+        outside ``node_ids`` (rate schedules apply to any node)."""
+        for _, _, node_id in self._explicit:
+            if node_id not in node_ids:
+                raise ValueError(f"fault event targets unknown node {node_id}")
 
-        Each schedule draws from its own named stream
-        ``(seed, "faults", index, kind)``, so adding a schedule never
-        perturbs the events of the ones before it.
+    # -- the interpreter ------------------------------------------------
+    def hits(
+        self, kind: str, block: int, node_id: int
+    ) -> Iterator[FaultEvent]:
+        """Every ``kind`` event covering cell ``(block, node_id)``, in plan
+        order (within an explicit schedule, in listed order).
+
+        A rate schedule hits the cell where one of its crash starts (or,
+        for other kinds, the cell itself) draws below ``rate`` from the
+        cell's own stream ``(seed, "fleet-fault", index, kind, start,
+        node)``: a pure function of the plan and the cell, whatever the
+        run's node set, length or executor.  Lazy, so ``any``/``next``
+        stop at the first hit; kinds the plan lacks cost no draw.
         """
-        if not self.schedules:
-            return _EMPTY_COMPILED
-        factory = RngFactory(self.seed)
-        crashes: Dict[int, Set[int]] = {}
-        drops: Set[Tuple[int, int]] = set()
-        corrupts: Dict[Tuple[int, int], FaultEvent] = {}
-        delays: Dict[Tuple[int, int], float] = {}
-        flaky: Dict[Tuple[int, int], int] = {}
-        kills: Set[int] = set()
-        node_order = sorted(node_ids)
-        for index, schedule in enumerate(self.schedules):
-            rng = factory.stream("faults", index, schedule.kind)
-            for event in schedule.events(node_order, num_blocks, rng):
-                if event.kind == "kill":
-                    kills.add(event.block)
-                    continue
-                if event.node_id not in node_order:
-                    raise ValueError(
-                        f"fault event targets unknown node {event.node_id}"
-                    )
-                key = (event.block, event.node_id)
-                if event.kind == "crash":
-                    window = crashes.setdefault(event.node_id, set())
-                    window.update(
-                        range(event.block, event.block + event.duration)
-                    )
-                elif event.kind == "drop":
-                    drops.add(key)
-                elif event.kind == "corrupt":
-                    corrupts[key] = event
-                elif event.kind == "delay":
-                    delays[key] = delays.get(key, 0.0) + event.delay_s
-                elif event.kind == "flaky":
-                    flaky[key] = max(flaky.get(key, 0), event.fail_times)
-        return CompiledPlan(
-            crashes=crashes,
-            drops=drops,
-            corrupts=corrupts,
-            delays=delays,
-            flaky=flaky,
-            kills=kills,
+        for index, schedule in self._by_kind.get(kind, ()):
+            if isinstance(schedule, ExplicitSchedule):
+                for event in self._explicit.get((index, kind, node_id), ()):
+                    span = event.duration if kind == "crash" else 1
+                    if event.block <= block < event.block + span:
+                        yield event
+                continue
+            span = (
+                schedule.duration if isinstance(schedule, CrashSchedule) else 1
+            )
+            # "fleet-fault" names the stream family the fleet drew from
+            # first; both drivers keep it so fleet runs stay bit-identical
+            for start in range(max(0, block - span + 1), block + 1):
+                rng = spawn(
+                    self.seed, "fleet-fault", index, kind, start, node_id
+                )
+                if rng.random() < schedule.rate:
+                    yield schedule.event(start, node_id)
+
+    def crashed(self, block: int, node_id: int) -> bool:
+        """Down this block: inside the window of some crash."""
+        return any(self.hits("crash", block, node_id))
+
+    def dropped(self, block: int, node_id: int) -> bool:
+        return any(self.hits("drop", block, node_id))
+
+    def delay_s(self, block: int, node_id: int) -> float:
+        """Extra delivery seconds; delays on one cell sum."""
+        delays = (e.delay_s for e in self.hits("delay", block, node_id))
+        return sum(delays, 0.0)
+
+    def flaky(self, block: int, node_id: int) -> int:
+        """Worker failures before success; the largest ``fail_times`` wins."""
+        return max(
+            (e.fail_times for e in self.hits("flaky", block, node_id)),
+            default=0,
         )
+
+    def corruption(self, block: int, node_id: int) -> Optional[FaultEvent]:
+        """The corruption applied to the cell: the first in plan order."""
+        return next(self.hits("corrupt", block, node_id), None)
+
+    def kill_after(self, block: int) -> bool:
+        return block in self._kills
+
+    def corrupt(
+        self, params: Params, event: FaultEvent, block: int, node_id: int
+    ) -> Params:
+        """Return a corrupted copy of ``params`` (never mutated in place).
+
+        A partial NaN mask draws from ``(seed, "fleet-corrupt", block,
+        node)``, so it too is a pure function of the plan and the cell.
+        """
+        rng = spawn(self.seed, "fleet-corrupt", block, node_id)
+        out: Params = {}
+        for name in sorted(params):
+            data = np.array(params[name].data, dtype=np.float64, copy=True)
+            if event.mode == "scale":
+                data *= event.scale
+            elif event.fraction >= 1.0:
+                data[...] = np.nan
+            else:
+                mask = rng.random(data.shape) < event.fraction
+                data[mask] = np.nan
+            out[name] = Tensor(data)
+        return out
 
     # ------------------------------------------------------------------
     #: spec keys accepted per kind, mapped onto schedule constructor args

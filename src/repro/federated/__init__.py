@@ -11,7 +11,6 @@ from .fleet import (
     BufferedAggregator,
     BufferEntry,
     FleetConfig,
-    FleetFaults,
     FleetRegistry,
     FleetResult,
     FleetSimulator,
@@ -30,6 +29,7 @@ from .simulation import (
     DeviceProfile,
     FleetTimeline,
     RoundOutcome,
+    deadline_survivors,
     sample_fleet,
     simulate_round,
     simulate_synchronous_rounds,
@@ -52,7 +52,6 @@ __all__ = [
     "BufferedAggregator",
     "BufferEntry",
     "FleetConfig",
-    "FleetFaults",
     "FleetRegistry",
     "FleetResult",
     "FleetSimulator",
@@ -70,6 +69,7 @@ __all__ = [
     "DeviceProfile",
     "FleetTimeline",
     "RoundOutcome",
+    "deadline_survivors",
     "sample_fleet",
     "simulate_round",
     "simulate_synchronous_rounds",

@@ -45,11 +45,14 @@ hundred participate per round.  This module serves that regime:
     mode, which is exactly that — reduces **bit-for-bit** to FedAvg's
     weighted mean over the same sample sequence.
 
-Faults ride along through :class:`FleetFaults`, a pure-function
-interpretation of the existing :class:`~repro.faults.plan.FaultPlan`
-(``plan.compile`` would materialize O(fleet × rounds) tables; the fleet
-path re-derives each decision from ``(plan seed, schedule, round, node)``
-at O(1) per sampled node).  Checkpoints round-trip the global model, the
+Faults ride along through the engine's own interpreter: the simulator
+binds the :class:`~repro.faults.plan.FaultPlan` to the id space
+``[0, fleet_size)`` and asks its per-cell queries for each sampled node,
+each a pure function of ``(plan seed, schedule, round, node)`` at O(1)
+cost.  A plan therefore decides the same faults for a ``(round, node)``
+here as on the :class:`~repro.engine.round_engine.RoundEngine`; ``flaky``
+targets executor workers, which the fleet does not have, and is
+rejected.  Checkpoints round-trip the global model, the
 pending event queue, and the aggregation buffer — including the base
 models stale entries are anchored to — so kill-and-resume is bit-equal to
 an uninterrupted run.  All of it is proven by the property/chaos layer in
@@ -61,24 +64,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..autodiff import Tensor
 from ..data.dataset import Dataset, NodeSplit
 from ..faults.injector import RunInterrupted
-from ..faults.plan import (
-    CrashSchedule,
-    DelaySchedule,
-    DropSchedule,
-    CorruptSchedule,
-    ExplicitSchedule,
-    FaultEvent,
-    FaultPlan,
-    KillSchedule,
-)
-from ..nn.parameters import Params, detach, weighted_average
+from ..faults.plan import FaultPlan
+from ..nn.parameters import Params, all_finite, detach, weighted_average
 from ..obs.telemetry import Telemetry, resolve
 from ..utils.checkpoint import load_checkpoint, save_checkpoint
 from ..utils.logging import RunLogger
@@ -96,7 +90,6 @@ __all__ = [
     "SyntheticShardFactory",
     "BufferEntry",
     "BufferedAggregator",
-    "FleetFaults",
     "FleetSimulator",
 ]
 
@@ -400,166 +393,6 @@ class _VersionStore:
 
 
 # ----------------------------------------------------------------------
-# Pure-function fault interpretation over the id space
-# ----------------------------------------------------------------------
-class FleetFaults:
-    """Interpret a :class:`FaultPlan` lazily, per ``(round, node)``.
-
-    ``plan.compile`` draws one Bernoulli cell per ``(block, node)`` pair up
-    front — O(fleet × rounds) work and memory, unusable at 10⁶ nodes.
-    Here every decision is re-derived on demand from
-    ``(plan seed, schedule index, kind, round, node)`` named streams: the
-    same determinism guarantee (a pure function of the plan seed, never of
-    execution order), at O(1) cost per sampled node.  The concrete fault
-    realizations differ from the eager engine path for the same plan —
-    the *schedule semantics* (rates, durations, kill blocks) carry over.
-
-    Supported kinds: ``crash``, ``drop``, ``delay``, ``corrupt``, ``kill``
-    plus :class:`ExplicitSchedule` fixtures.  ``flaky`` targets executor
-    workers, which the fleet path does not have — it is rejected loudly.
-    """
-
-    def __init__(
-        self,
-        plan: Optional[FaultPlan],
-        telemetry: Optional[Telemetry] = None,
-    ) -> None:
-        self.plan = plan if plan is not None else FaultPlan.none()
-        self._tel = resolve(telemetry)
-        self._rates: List[Tuple[int, Any]] = []
-        self._kills: set[int] = set()
-        self._explicit: Dict[Tuple[str, int, int], FaultEvent] = {}
-        for index, schedule in enumerate(self.plan.schedules):
-            if isinstance(schedule, KillSchedule):
-                self._kills.add(schedule.block)
-            elif isinstance(schedule, ExplicitSchedule):
-                for event in schedule.fault_events:
-                    if event.kind == "kill":
-                        self._kills.add(event.block)
-                    else:
-                        key = (event.kind, event.block, event.node_id)
-                        self._explicit[key] = event
-            elif isinstance(
-                schedule,
-                (CrashSchedule, DropSchedule, DelaySchedule, CorruptSchedule),
-            ):
-                self._rates.append((index, schedule))
-            else:
-                raise ValueError(
-                    f"{type(schedule).__name__} is not supported on the "
-                    "fleet path (no executor workers to be flaky)"
-                )
-
-    def _hit(
-        self, index: int, kind: str, round_index: int, node_id: int,
-        rate: float,
-    ) -> bool:
-        rng = spawn(
-            self.plan.seed, "fleet-fault", index, kind, round_index, node_id
-        )
-        return bool(rng.random() < rate)
-
-    def _record(self, kind: str, round_index: int, node_id: int) -> None:
-        self._tel.counter("fl_faults_total", kind=kind).inc()
-        self._tel.events.emit(
-            "fault_injected", fault=kind, block=round_index, node=node_id,
-            count=1,
-        )
-
-    def crashed(self, round_index: int, node_id: int) -> bool:
-        """Down this round: hit by a crash whose duration window covers it."""
-        for index, schedule in self._rates:
-            if not isinstance(schedule, CrashSchedule):
-                continue
-            for start in range(
-                max(0, round_index - schedule.duration + 1), round_index + 1
-            ):
-                if self._hit(index, "crash", start, node_id, schedule.rate):
-                    self._record("crash", round_index, node_id)
-                    return True
-        event = self._explicit.get(("crash", round_index, node_id))
-        if event is None:
-            for (kind, block, nid), ev in self._explicit.items():
-                if (
-                    kind == "crash"
-                    and nid == node_id
-                    and block <= round_index < block + ev.duration
-                ):
-                    event = ev
-                    break
-        if event is not None:
-            self._record("crash", round_index, node_id)
-            return True
-        return False
-
-    def dropped(self, round_index: int, node_id: int) -> bool:
-        for index, schedule in self._rates:
-            if isinstance(schedule, DropSchedule) and self._hit(
-                index, "drop", round_index, node_id, schedule.rate
-            ):
-                self._record("drop", round_index, node_id)
-                return True
-        if ("drop", round_index, node_id) in self._explicit:
-            self._record("drop", round_index, node_id)
-            return True
-        return False
-
-    def delay_s(self, round_index: int, node_id: int) -> float:
-        total = 0.0
-        for index, schedule in self._rates:
-            if isinstance(schedule, DelaySchedule) and self._hit(
-                index, "delay", round_index, node_id, schedule.rate
-            ):
-                total += schedule.delay_s
-        explicit = self._explicit.get(("delay", round_index, node_id))
-        if explicit is not None:
-            total += explicit.delay_s
-        if total > 0.0:
-            self._record("delay", round_index, node_id)
-        return total
-
-    def corruption(
-        self, round_index: int, node_id: int
-    ) -> Optional[FaultEvent]:
-        for index, schedule in self._rates:
-            if isinstance(schedule, CorruptSchedule) and self._hit(
-                index, "corrupt", round_index, node_id, schedule.rate
-            ):
-                return FaultEvent(
-                    "corrupt",
-                    round_index,
-                    node_id,
-                    mode=schedule.mode,
-                    fraction=schedule.fraction,
-                    scale=schedule.scale,
-                )
-        return self._explicit.get(("corrupt", round_index, node_id))
-
-    def corrupt_params(
-        self, params: Params, event: FaultEvent, round_index: int,
-        node_id: int,
-    ) -> Params:
-        """Seeded corruption copy (mirrors the injector's semantics)."""
-        self._record("corrupt", round_index, node_id)
-        rng = spawn(self.plan.seed, "fleet-corrupt", round_index, node_id)
-        out: Params = {}
-        for name in sorted(params):
-            data = np.array(params[name].data, dtype=np.float64, copy=True)
-            if event.mode == "scale":
-                data *= event.scale
-            elif event.fraction >= 1.0:
-                data[...] = np.nan
-            else:
-                mask = rng.random(data.shape) < event.fraction
-                data[mask] = np.nan
-            out[name] = Tensor(data)
-        return out
-
-    def kill_after(self, round_index: int) -> bool:
-        return round_index in self._kills
-
-
-# ----------------------------------------------------------------------
 # The simulator
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -656,7 +489,13 @@ class FleetSimulator:
         )
         self.sampler = IdSpaceSampler(config.sampled_per_round, config.seed)
         self.comm_log = CommunicationLog(link=config.link)
-        self.faults = FleetFaults(faults, telemetry=telemetry)
+        self.faults = faults if faults is not None else FaultPlan.none()
+        if "flaky" in self.faults.kinds:
+            raise ValueError(
+                "flaky faults target executor workers, which the fleet "
+                "path does not have"
+            )
+        self.faults.check_nodes(range(config.fleet_size))
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = int(checkpoint_every)
         self.buffer = BufferedAggregator(
@@ -721,7 +560,7 @@ class FleetSimulator:
             blocks=int(cfg.rounds),
             executor="FleetSimulator",
             resumed=bool(resume),
-            policy=self.faults.plan.describe(),
+            policy=self.faults.describe(),
         )
         sampled_total = tel.counter("fl_fleet_sampled_total")
         staleness_hist = tel.histogram(
@@ -795,19 +634,27 @@ class FleetSimulator:
         )
         payload = payload_bytes(self.params)
         heap = self._pending
+        faults = self.faults
         for node_id in ids:
-            if self.faults.crashed(round_index, node_id):
+            if faults.crashed(round_index, node_id):
+                self._record_fault("crash", round_index, node_id)
                 continue  # unreachable: no sync, no dispatch, no bytes
             self.comm_log.charge_download(round_index + 1, node_id, payload)
+            delay = faults.delay_s(round_index, node_id)
+            if delay > 0.0:
+                self._record_fault("delay", round_index, node_id)
             duration = (
                 cfg.local_steps * self._seconds_per_step(node_id)
                 + cfg.link.upload_time(payload)
-                + self.faults.delay_s(round_index, node_id)
+                + delay
             )
+            dropped = faults.dropped(round_index, node_id)
+            if dropped:
+                self._record_fault("drop", round_index, node_id)
             info = {
                 "round": round_index,
                 "version": self.server_version,
-                "dropped": self.faults.dropped(round_index, node_id),
+                "dropped": dropped,
             }
             events.emit(
                 "fleet_dispatch",
@@ -861,9 +708,10 @@ class FleetSimulator:
                 self._versions.release(base_version)
                 continue
             update = self._train_node(info["round"], node_id, base_version)
-            corrupt = self.faults.corruption(info["round"], node_id)
+            corrupt = faults.corruption(info["round"], node_id)
             if corrupt is not None:
-                update = self.faults.corrupt_params(
+                self._record_fault("corrupt", info["round"], node_id)
+                update = faults.corrupt(
                     update, corrupt, info["round"], node_id
                 )
             self.comm_log.charge_upload(
@@ -877,9 +725,7 @@ class FleetSimulator:
                 staleness=staleness,
                 clock=when,
             )
-            if not all(
-                np.isfinite(t.data).all() for t in update.values()
-            ):
+            if not all_finite(update):
                 tel.counter("fl_quarantined_total").inc()
                 events.emit(
                     "quarantine", block=info["round"], node=node_id
@@ -913,6 +759,14 @@ class FleetSimulator:
             buffered=len(self.buffer),
         )
         return delivered
+
+    def _record_fault(self, kind: str, round_index: int, node_id: int) -> None:
+        tel = resolve(self.telemetry)
+        tel.counter("fl_faults_total", kind=kind).inc()
+        tel.events.emit(
+            "fault_injected", fault=kind, block=round_index, node=node_id,
+            count=1,
+        )
 
     def _train_node(
         self, round_index: int, node_id: int, base_version: int

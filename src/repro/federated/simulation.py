@@ -33,6 +33,7 @@ __all__ = [
     "DeviceProfile",
     "RoundOutcome",
     "FleetTimeline",
+    "deadline_survivors",
     "sample_fleet",
     "simulate_round",
     "simulate_synchronous_rounds",
@@ -134,6 +135,28 @@ def sample_fleet(
     ]
 
 
+def deadline_survivors(
+    times: Dict[int, float],
+    deadline_s: Optional[float],
+    min_participants: int,
+) -> List[int]:
+    """Ids whose finish time meets the deadline, in ``times`` order.
+
+    If fewer than ``min_participants`` make it, the ``min_participants``
+    fastest are kept instead — even past the deadline, ties broken by id —
+    and returned sorted by id.  No deadline keeps everyone.
+    """
+    if deadline_s is None:
+        return list(times)
+    kept = [node_id for node_id, t in times.items() if t <= deadline_s]
+    if len(kept) < min_participants:
+        fastest = heapq.nsmallest(
+            min_participants, times.items(), key=lambda kv: (kv[1], kv[0])
+        )
+        kept = sorted(node_id for node_id, _ in fastest)
+    return kept
+
+
 def simulate_round(
     fleet: Sequence[DeviceProfile],
     round_index: int,
@@ -162,20 +185,10 @@ def simulate_round(
     times: Dict[int, float] = {
         d.device_id: d.round_time(local_steps, upload_bytes) for d in fleet
     }
-    if deadline_s is None:
-        participants = sorted(times)
-        dropped: List[int] = []
-    else:
-        participants = sorted(
-            did for did, t in times.items() if t <= deadline_s
-        )
-        if len(participants) < min_participants:
-            # Keep the fastest devices even past the deadline.
-            fastest = heapq.nsmallest(
-                min_participants, times.items(), key=lambda kv: (kv[1], kv[0])
-            )
-            participants = sorted(did for did, _ in fastest)
-        dropped = sorted(set(times) - set(participants))
+    participants = sorted(
+        deadline_survivors(times, deadline_s, min_participants)
+    )
+    dropped = sorted(set(times) - set(participants))
     round_compute = max(times[did] for did in participants)
     # Everyone resyncs — the broadcast is charged across the full fleet.
     broadcast = max(d.link.download_time(upload_bytes) for d in fleet)

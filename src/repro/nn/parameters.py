@@ -29,6 +29,7 @@ __all__ = [
     "num_bytes",
     "l2_distance",
     "l2_norm",
+    "all_finite",
     "weighted_average",
     "add_scaled",
     "zeros_like_params",
@@ -115,6 +116,11 @@ def l2_distance(left: Params, right: Params) -> float:
 
 def l2_norm(params: Params) -> float:
     return float(np.linalg.norm(to_vector(params)))
+
+
+def all_finite(params: Params) -> bool:
+    """True when no entry of the tree is NaN or infinite."""
+    return all(np.isfinite(t.data).all() for t in params.values())
 
 
 def weighted_average(trees: Sequence[Params], weights: Iterable[float]) -> Params:

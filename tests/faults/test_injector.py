@@ -38,7 +38,7 @@ def make_node(node_id, value=1.0):
 def make_injector(events, policy=None, telemetry=None, num_nodes=4):
     plan = FaultPlan([ExplicitSchedule(tuple(events))])
     injector = FaultInjector(plan, policy=policy, telemetry=telemetry)
-    injector.begin(list(range(num_nodes)), num_blocks=8)
+    injector.begin(list(range(num_nodes)))
     return injector
 
 
@@ -79,10 +79,8 @@ class TestCrashAndKill:
         assert counter.value == 2
 
     def test_kill_scheduled(self):
-        injector = make_injector([], num_nodes=2)
-        injector._compiled = FaultPlan([KillSchedule(block=3)]).compile(
-            [0, 1], 8
-        )
+        injector = FaultInjector(FaultPlan([KillSchedule(block=3)]))
+        injector.begin([0, 1])
         assert not injector.kill_scheduled(2)
         assert injector.kill_scheduled(3)
 

@@ -9,6 +9,7 @@ from repro.faults import (
     DropSchedule,
     ExplicitSchedule,
     FaultEvent,
+    FaultInjector,
     FaultPlan,
     FlakyWorkerSchedule,
     KillSchedule,
@@ -50,29 +51,60 @@ class TestFaultEventValidation:
             FaultEvent("flaky", 0, 1, fail_times=0)
 
 
+CELLS = [(block, node) for block in range(BLOCKS) for node in NODES]
+
+
+def decisions(plan):
+    """Every per-cell query of ``plan`` over the NODES x BLOCKS grid."""
+    return {
+        (block, node): (
+            plan.crashed(block, node),
+            plan.dropped(block, node),
+            plan.delay_s(block, node),
+            plan.corruption(block, node),
+            plan.flaky(block, node),
+        )
+        for block, node in CELLS
+    }
+
+
+def dropped_cells(plan):
+    return {cell for cell in CELLS if plan.dropped(*cell)}
+
+
 class TestCompile:
+    """The per-cell interpreter that replaced the compiled lookup tables."""
+
     def test_empty_plan_compiles_empty(self):
-        compiled = FaultPlan.none().compile(NODES, BLOCKS)
-        assert compiled.empty
-        assert compiled.crashed_nodes(0) == set()
+        plan = FaultPlan.none()
+        assert plan.kinds == frozenset()
+        assert set(decisions(plan).values()) == {
+            (False, False, 0.0, None, 0)
+        }
+        assert not any(plan.kill_after(block) for block in range(BLOCKS))
 
     def test_same_seed_same_faults(self):
-        plan = FaultPlan(
-            [CrashSchedule(rate=0.3), DropSchedule(rate=0.3)], seed=42
+        schedules = [CrashSchedule(rate=0.3), DropSchedule(rate=0.3)]
+        assert decisions(FaultPlan(schedules, seed=42)) == decisions(
+            FaultPlan(schedules, seed=42)
         )
-        assert plan.compile(NODES, BLOCKS) == plan.compile(NODES, BLOCKS)
 
     def test_different_seed_different_faults(self):
         schedules = [DropSchedule(rate=0.5)]
-        a = FaultPlan(schedules, seed=0).compile(NODES, BLOCKS)
-        b = FaultPlan(schedules, seed=1).compile(NODES, BLOCKS)
-        assert a.drops != b.drops
+        a = dropped_cells(FaultPlan(schedules, seed=0))
+        b = dropped_cells(FaultPlan(schedules, seed=1))
+        assert a != b
 
     def test_compile_independent_of_node_order(self):
-        plan = FaultPlan([DropSchedule(rate=0.5)], seed=7)
-        forward = plan.compile(NODES, BLOCKS)
-        backward = plan.compile(list(reversed(NODES)), BLOCKS)
-        assert forward == backward
+        """Binding the plan to the same nodes in another order changes
+        nothing: the injector's per-block crash set is the same."""
+        plan = FaultPlan([CrashSchedule(rate=0.5)], seed=7)
+        forward = FaultInjector(plan)
+        forward.begin(NODES)
+        backward = FaultInjector(plan)
+        backward.begin(list(reversed(NODES)))
+        for block in range(BLOCKS):
+            assert forward.crashed(block) == backward.crashed(block)
 
     def test_adding_schedule_preserves_earlier_events(self):
         """Each schedule draws its own named stream, so composition is
@@ -81,29 +113,29 @@ class TestCompile:
         extended = FaultPlan(
             [DropSchedule(rate=0.4), CrashSchedule(rate=0.4)], seed=3
         )
-        assert base.compile(NODES, BLOCKS).drops == (
-            extended.compile(NODES, BLOCKS).drops
-        )
+        assert dropped_cells(base) == dropped_cells(extended)
 
     def test_crash_duration_spans_blocks(self):
         plan = FaultPlan(
             [ExplicitSchedule((FaultEvent("crash", 1, 2, duration=2),))]
         )
-        compiled = plan.compile(NODES, BLOCKS)
-        assert compiled.crashed_nodes(0) == set()
-        assert compiled.crashed_nodes(1) == {2}
-        assert compiled.crashed_nodes(2) == {2}
-        assert compiled.crashed_nodes(3) == set()
+        crashed = [
+            {node for node in NODES if plan.crashed(block, node)}
+            for block in range(BLOCKS)
+        ]
+        assert crashed == [set(), {2}, {2}, set()]
 
     def test_explicit_event_for_unknown_node_rejected(self):
         plan = FaultPlan([ExplicitSchedule((FaultEvent("drop", 0, 99),))])
-        with pytest.raises(ValueError):
-            plan.compile(NODES, BLOCKS)
+        with pytest.raises(ValueError, match="unknown node 99"):
+            FaultInjector(plan).begin(NODES)  # the engine binds its nodes
+        FaultInjector(plan).begin(NODES + [99])  # a run that has node 99
 
     def test_kill_schedule_is_not_node_scoped(self):
-        compiled = FaultPlan([KillSchedule(block=2)]).compile(NODES, BLOCKS)
-        assert compiled.kills == {2}
-        assert not compiled.empty
+        plan = FaultPlan([KillSchedule(block=2)])
+        assert [b for b in range(BLOCKS) if plan.kill_after(b)] == [2]
+        assert plan.kinds == {"kill"}
+        plan.check_nodes([])  # no node to bind
 
     def test_delays_accumulate_and_flaky_takes_max(self):
         events = (
@@ -112,17 +144,59 @@ class TestCompile:
             FaultEvent("flaky", 0, 2, fail_times=1),
             FaultEvent("flaky", 0, 2, fail_times=3),
         )
-        compiled = FaultPlan([ExplicitSchedule(events)]).compile(NODES, BLOCKS)
-        assert compiled.delays[(0, 1)] == pytest.approx(3.5)
-        assert compiled.flaky[(0, 2)] == 3
+        plan = FaultPlan([ExplicitSchedule(events)])
+        assert plan.delay_s(0, 1) == pytest.approx(3.5)
+        assert plan.flaky(0, 2) == 3
 
     def test_rate_bounds_checked(self):
-        with pytest.raises(ValueError):
-            FaultPlan([DropSchedule(rate=1.5)]).compile(NODES, BLOCKS)
+        for rate in (1.5, -0.1):
+            with pytest.raises(ValueError, match="rate"):
+                DropSchedule(rate=rate)
 
     def test_rate_one_hits_every_cell(self):
-        compiled = FaultPlan([DropSchedule(rate=1.0)]).compile(NODES, BLOCKS)
-        assert len(compiled.drops) == len(NODES) * BLOCKS
+        plan = FaultPlan([DropSchedule(rate=1.0)])
+        assert len(dropped_cells(plan)) == len(NODES) * BLOCKS
+
+    def test_first_corruption_in_plan_order_wins(self):
+        events = (
+            FaultEvent("corrupt", 0, 1, mode="scale", scale=2.0),
+            FaultEvent("corrupt", 0, 1, mode="nan"),
+        )
+        plan = FaultPlan(
+            [ExplicitSchedule(events), CorruptSchedule(rate=1.0, scale=5.0)]
+        )
+        assert plan.corruption(0, 1) == events[0]
+        # the rate schedule still owns every other cell
+        assert plan.corruption(0, 2).scale == 5.0
+        rate_first = FaultPlan(
+            [CorruptSchedule(rate=1.0, scale=5.0), ExplicitSchedule(events)]
+        )
+        assert rate_first.corruption(0, 1).scale == 5.0
+
+    def test_rate_crash_window_covers_later_blocks(self):
+        plan = FaultPlan([CrashSchedule(rate=0.3, duration=2)], seed=4)
+        starts = {
+            (block, node)
+            for block, node in CELLS
+            if FaultPlan([CrashSchedule(rate=0.3)], seed=4).crashed(
+                block, node
+            )
+        }
+        for block, node in CELLS:
+            expected = (block, node) in starts or (block - 1, node) in starts
+            assert plan.crashed(block, node) == expected
+
+    def test_schedules_validate_on_construction(self):
+        with pytest.raises(ValueError):
+            KillSchedule(block=-1)
+        with pytest.raises(ValueError):
+            CrashSchedule(rate=0.1, duration=0)
+        with pytest.raises(ValueError):
+            CorruptSchedule(rate=0.1, mode="zero")
+        with pytest.raises(ValueError):
+            DelaySchedule(rate=0.1, delay_s=-1.0)
+        with pytest.raises(ValueError):
+            FlakyWorkerSchedule(rate=0.1, fail_times=0)
 
 
 class TestFromSpec:
@@ -153,7 +227,7 @@ class TestFromSpec:
     def test_spec_matches_hand_built_plan(self):
         spec = FaultPlan.from_spec("drop:rate=0.4", seed=5)
         built = FaultPlan([DropSchedule(rate=0.4)], seed=5)
-        assert spec.compile(NODES, BLOCKS) == built.compile(NODES, BLOCKS)
+        assert decisions(spec) == decisions(built)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
@@ -164,7 +238,9 @@ class TestFromSpec:
             FaultPlan.from_spec("drop:severity=9")
 
     def test_empty_spec_is_empty_plan(self):
-        assert FaultPlan.from_spec("").compile(NODES, BLOCKS).empty
+        plan = FaultPlan.from_spec("")
+        assert plan.schedules == ()
+        assert plan.kinds == frozenset()
 
     def test_with_seed_and_describe(self):
         plan = FaultPlan.from_spec("drop:rate=0.1", seed=1)

@@ -13,12 +13,17 @@ import pytest
 from repro.analysis.determinism import install_ledger, uninstall_ledger
 from repro.core.fedavg import FedAvgConfig
 from repro.engine.strategies import SgdStrategy
-from repro.faults.plan import FaultPlan, FlakyWorkerSchedule
+from repro.faults import plan as plan_module
+from repro.faults.plan import (
+    ExplicitSchedule,
+    FaultEvent,
+    FaultPlan,
+    FlakyWorkerSchedule,
+)
 from repro.federated.fleet import (
     BufferedAggregator,
     BufferEntry,
     FleetConfig,
-    FleetFaults,
     FleetRegistry,
     FleetSimulator,
     SyntheticShardFactory,
@@ -209,27 +214,65 @@ class TestBufferedAggregator:
         assert stats[0]["discount"] == pytest.approx(1.0 / 3.0)
 
 
+def fleet_with_faults(plan, fleet=100):
+    config = FleetConfig(
+        fleet_size=fleet, sampled_per_round=4, rounds=2, local_steps=2,
+    )
+    return FleetSimulator(make_strategy(), config, faults=plan)
+
+
 class TestFleetFaults:
     def test_flaky_schedules_rejected_on_fleet_path(self):
-        plan = FaultPlan([FlakyWorkerSchedule(rate=0.5)], seed=0)
-        with pytest.raises(ValueError, match="flaky|Flaky"):
-            FleetFaults(plan)
+        for plan in (
+            FaultPlan([FlakyWorkerSchedule(rate=0.5)], seed=0),
+            FaultPlan([ExplicitSchedule((FaultEvent("flaky", 0, 1),))]),
+        ):
+            with pytest.raises(ValueError, match="flaky|Flaky"):
+                fleet_with_faults(plan)
 
     def test_decisions_are_pure_functions_of_plan(self):
-        plan = FaultPlan.from_spec("crash:rate=0.5;drop:rate=0.5", seed=9)
-        first = FleetFaults(plan)
-        second = FleetFaults(plan)
+        spec = "crash:rate=0.5;drop:rate=0.5"
+        first = fleet_with_faults(FaultPlan.from_spec(spec, seed=9)).faults
+        second = fleet_with_faults(FaultPlan.from_spec(spec, seed=9)).faults
         for node in range(50):
             assert first.crashed(2, node) == second.crashed(2, node)
             assert first.dropped(2, node) == second.dropped(2, node)
 
     def test_crash_duration_covers_window(self):
         plan = FaultPlan.from_spec("crash:rate=1.0,duration=3", seed=0)
-        faults = FleetFaults(plan)
+        faults = fleet_with_faults(plan).faults
         # rate=1 ⇒ every (round, node) starts a crash, so any round in a
         # window is down; the point here is that the window check runs.
         assert faults.crashed(0, 1)
         assert faults.crashed(2, 1)
+
+    def test_rate_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match="rate"):
+            fleet_with_faults(FaultPlan.from_spec("drop:rate=1.5"))
+        with pytest.raises(ValueError, match="rate"):
+            fleet_with_faults(FaultPlan.from_spec("crash:rate=-0.2"))
+
+    def test_explicit_event_outside_fleet_rejected(self):
+        for node in (10**9, 100, -1):
+            event = FaultEvent("drop", 0, node)
+            plan = FaultPlan([ExplicitSchedule((event,))])
+            with pytest.raises(ValueError, match="unknown node"):
+                fleet_with_faults(plan, fleet=100)
+        inside = FaultPlan([ExplicitSchedule((FaultEvent("drop", 0, 99),))])
+        fleet_with_faults(inside, fleet=100)
+
+    def test_empty_plan_queries_create_no_generators(self, monkeypatch):
+        calls = []
+        real_spawn = plan_module.spawn
+
+        def counting_spawn(*args):
+            calls.append(args)
+            return real_spawn(*args)
+
+        monkeypatch.setattr(plan_module, "spawn", counting_spawn)
+        result, _ = run_fleet(fleet=200, sampled=8, rounds=2)
+        assert result.server_version == 2
+        assert calls == []
 
 
 class TestFleetSimulator:
