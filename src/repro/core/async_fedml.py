@@ -18,6 +18,8 @@ synchronous :class:`~repro.core.FedML` trains with.
 The simulation is event-driven: device compute times come from
 :class:`~repro.federated.simulation.DeviceProfile`, so fast devices
 contribute more often — exactly the behaviour synchronous rounds forbid.
+Each local phase is one :func:`~repro.engine.executors.run_node_block`,
+the engine's node block, on the stream ``[seed, upload index, node]``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 from ..data.dataset import FederatedDataset
 from ..engine import MetaStrategy
+from ..engine.executors import run_node_block
 from ..federated.node import EdgeNode
 from ..federated.simulation import DeviceProfile
 from ..nn.losses import cross_entropy
@@ -167,10 +170,11 @@ class AsyncFedML:
         while uploads < cfg.total_uploads and events:
             finish_time, idx, started_version = heapq.heappop(events)
             node = nodes[idx]
-            with tel.span("local_steps", node=idx):
-                node.params = pending[idx]
-                for _ in range(cfg.t0):
-                    self.strategy.local_step(node)
+            node.params = pending[idx]
+            run_node_block(
+                self.strategy, [node], cfg.t0, block_index=uploads,
+                base_seed=cfg.seed, tel=tel,
+            )
             contribution = node.params
             uploads_total.inc()
             bytes_up.inc(upload_bytes)

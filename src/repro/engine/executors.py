@@ -15,14 +15,17 @@ parallelism budget of the simulator, and an :class:`Executor` spends it:
     built-in strategy; *not* true for :class:`RunnerStepAdapter`, which
     closes over a live runner).
 
-Determinism contract: both executors bind the strategy's per-node
-generator to ``default_rng([base_seed, block_index, node_id])`` before the
-node's block, so a strategy that draws randomness during ``local_step``
-gets an identical stream regardless of executor or worker count.  Since
+Determinism contract: every training loop — these executors, the pool
+worker, the fleet simulator and ``AsyncFedML`` — runs a node's block through
+:func:`run_node_block`, which binds the strategy's per-node generator
+to ``default_rng([base_seed, block_index, node_id])`` before the block,
+so a strategy that draws randomness during ``local_step`` gets an
+identical stream regardless of executor or worker count.  Since
 pickling float64 arrays is lossless, serial and parallel runs are
 bit-for-bit identical (asserted in ``tests/engine/test_executors.py``).
 
 Observability: ``run_block`` accepts the run's telemetry.  With telemetry
+off, :func:`run_node_block` reads no clock and opens no span.  With it
 enabled, each node's block is timed as a ``local_train`` span — emitted
 directly in serial mode, and in parallel mode collected by a worker-side
 child tracer (seeded from the parent's :class:`~repro.obs.TraceContext`),
@@ -39,7 +42,8 @@ from __future__ import annotations
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
+from contextlib import nullcontext
+from typing import Any, ContextManager, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -48,12 +52,15 @@ from ..autodiff import ops as _ops
 from ..autodiff.profile import TapeProfiler, worker_profile
 from ..federated.node import EdgeNode
 from ..nn.parameters import Params
-from ..obs.telemetry import Telemetry, resolve
+from ..obs.telemetry import NULL_TELEMETRY, Telemetry, resolve
 from ..obs.tracing import TraceContext, Tracer, WorkerTrace, reparent
 from ..utils.rng import instrument_node_rng
 from ..utils.serialization import params_fingerprint
 
-__all__ = ["Executor", "ExecutorError", "SerialExecutor", "ParallelExecutor"]
+__all__ = [
+    "Executor", "ExecutorError", "SerialExecutor", "ParallelExecutor",
+    "run_node_block",
+]
 
 #: fast-path counter keys surfaced on the per-block ``cache_hit`` event
 _CACHE_EVENT_KEYS = ("backwards", "plan_hits", "plan_misses", "raw_vjp_calls")
@@ -102,10 +109,6 @@ class Executor(Protocol):
     def close(self) -> None: ...
 
 
-def _node_seed(base_seed: int, block_index: int, node_id: int) -> List[int]:
-    return [base_seed, block_index, node_id]
-
-
 def _active_profiler() -> Optional[TapeProfiler]:
     """The parent's live tape profiler, when ``profile_ops`` is active."""
     hook = _ops._PROFILE_HOOK
@@ -123,6 +126,83 @@ def _emit_cache_event(tel: Any, block_index: int, delta: Dict[str, int]) -> None
         )
 
 
+def _emit_node_result(
+    tel: Any, node: EdgeNode, block_index: int, steps: int, duration: float,
+    **fields: Any,
+) -> None:
+    if tel.node_fingerprints:
+        fields["params_fp"] = params_fingerprint(node.params)
+    tel.events.emit(
+        "node_result", node=node.node_id, block=block_index, steps=steps,
+        duration_s=duration, **fields,
+    )
+
+
+def run_node_block(
+    strategy: Any,
+    nodes: Sequence[EdgeNode],
+    steps: int,
+    *,
+    block_index: int,
+    base_seed: int,
+    tel: Any = NULL_TELEMETRY,
+    stacked: bool = False,
+    **span_attributes: Any,
+) -> None:
+    """One node's block of ``steps`` local steps: the unit of Algorithm 1.
+
+    Binds the ``[base_seed, block_index, node_id]`` stream, runs ``steps`` ×
+    ``local_step`` on the one node in ``nodes`` (``stacked``: one
+    ``local_block_vectorized`` over a signature group), and raises a
+    failure as :class:`ExecutorError`.  Only with ``tel`` enabled does it
+    read the clock, open the ``local_train`` (``_vectorized``) span and
+    emit ``node_error`` / ``node_result``.
+    """
+    rngs = [
+        instrument_node_rng(
+            np.random.default_rng([base_seed, block_index, node.node_id]),
+            block_index,
+            node.node_id,
+        )
+        for node in nodes
+    ]
+    traced = tel.enabled
+    if traced:
+        start = time.perf_counter()
+        where = {"nodes": len(nodes)} if stacked else {"node": nodes[0].node_id}
+        span = tel.span(
+            "local_train_vectorized" if stacked else "local_train",
+            **where, block=block_index, steps=steps, **span_attributes,
+        )
+    try:
+        if stacked:
+            strategy.local_block_vectorized(nodes, steps, rngs)
+        else:
+            (node,) = nodes
+            strategy.bind_node_rng(rngs[0])
+            for _ in range(steps):
+                strategy.local_step(node)
+    except Exception as exc:
+        worker_tb = traceback.format_exc()
+        if traced:
+            span.set(error=repr(exc))
+            span.end()
+            tel.events.emit(
+                "node_error", node=nodes[0].node_id, block=block_index,
+                error=repr(exc), traceback=worker_tb,
+            )
+        raise ExecutorError(
+            nodes[0].node_id, block_index, exc, worker_traceback=worker_tb,
+        ) from exc
+    if not traced:
+        return
+    span.end()
+    duration = (time.perf_counter() - start) / len(nodes)
+    marker = {"vectorized": True} if stacked else {}
+    for node in nodes:
+        _emit_node_result(tel, node, block_index, steps, duration, **marker)
+
+
 class SerialExecutor:
     """In-process, node-by-node execution (the reference schedule)."""
 
@@ -137,73 +217,16 @@ class SerialExecutor:
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         tel = resolve(telemetry)
-        if not tel.enabled:
-            # Disabled path: exactly the pre-observability loop, no clock
-            # reads, no per-node bookkeeping.
-            for node in nodes:
-                strategy.bind_node_rng(
-                    instrument_node_rng(
-                        np.random.default_rng(
-                            _node_seed(base_seed, block_index, node.node_id)
-                        ),
-                        block_index,
-                        node.node_id,
-                    )
-                )
-                try:
-                    for _ in range(steps):
-                        strategy.local_step(node)
-                except Exception as exc:
-                    raise ExecutorError(
-                        node.node_id, block_index, exc,
-                        worker_traceback=traceback.format_exc(),
-                    ) from exc
-            return
-
-        events = tel.events
-        fastpath_base = fastpath.stats().as_dict()
+        fastpath_base = fastpath.stats().as_dict() if tel.enabled else None
         for node in nodes:
-            strategy.bind_node_rng(
-                instrument_node_rng(
-                    np.random.default_rng(
-                        _node_seed(base_seed, block_index, node.node_id)
-                    ),
-                    block_index,
-                    node.node_id,
-                )
+            run_node_block(
+                strategy, [node], steps,
+                block_index=block_index, base_seed=base_seed, tel=tel,
             )
-            start = time.perf_counter()
-            span = tel.span(
-                "local_train", node=node.node_id, block=block_index,
-                steps=steps,
+        if fastpath_base is not None:
+            _emit_cache_event(
+                tel, block_index, fastpath.stats().delta_since(fastpath_base)
             )
-            try:
-                for _ in range(steps):
-                    strategy.local_step(node)
-            except Exception as exc:
-                worker_tb = traceback.format_exc()
-                span.set(error=repr(exc))
-                span.end()
-                events.emit(
-                    "node_error", node=node.node_id, block=block_index,
-                    error=repr(exc), traceback=worker_tb,
-                )
-                raise ExecutorError(
-                    node.node_id, block_index, exc,
-                    worker_traceback=worker_tb,
-                ) from exc
-            span.end()
-            result_fields: Dict[str, Any] = {}
-            if tel.node_fingerprints:
-                result_fields["params_fp"] = params_fingerprint(node.params)
-            events.emit(
-                "node_result", node=node.node_id, block=block_index,
-                steps=steps, duration_s=time.perf_counter() - start,
-                **result_fields,
-            )
-        _emit_cache_event(
-            tel, block_index, fastpath.stats().delta_since(fastpath_base)
-        )
 
     def close(self) -> None:
         """Nothing to release."""
@@ -228,51 +251,40 @@ def _run_node_block(
     private child tracer whose finished spans (plus the fast-path counter
     delta and, when requested, tape-profiler statistics) return in a
     :class:`WorkerTrace` for the parent to re-parent and merge.  On
-    failure the formatted worker traceback is attached to the exception
-    (instance attributes survive pickling), so the parent can report *why*
-    the worker died, not just that it did.
+    failure the original exception is re-raised with the formatted worker
+    traceback attached (instance attributes survive pickling), so the
+    parent can report *why* the worker died, not just that it did.
     """
-    strategy.bind_node_rng(
-        instrument_node_rng(np.random.default_rng(seed), seed[1], seed[2])
+    worker: Optional[WorkerTrace] = None
+    tel: Any = NULL_TELEMETRY
+    if trace is not None:
+        worker = WorkerTrace()
+        tel = Telemetry(tracer=Tracer(ring_size=64))
+        fastpath_base = fastpath.stats().as_dict()
+    profiling: ContextManager[Optional[TapeProfiler]] = (
+        worker_profile()
+        if trace is not None and trace.profile_tape
+        else nullcontext()
     )
-    if trace is None:
-        try:
-            for _ in range(steps):
-                strategy.local_step(node)
-        except Exception as exc:
-            exc._worker_traceback = traceback.format_exc()  # type: ignore[attr-defined]
-            raise
-        return node.params, node.local_steps, node.gradient_evaluations, None
-
-    block_index = seed[1]
-    collector = Tracer(ring_size=64)
-    fastpath_base = fastpath.stats().as_dict()
-    worker = WorkerTrace()
     try:
-        if trace.profile_tape:
-            with worker_profile() as prof:
-                with collector.span(
-                    "local_train", node=node.node_id, block=block_index,
-                    steps=steps, worker=True,
-                ):
-                    for _ in range(steps):
-                        strategy.local_step(node)
+        with profiling as prof:
+            run_node_block(
+                strategy, [node], steps, block_index=seed[1],
+                base_seed=seed[0], tel=tel, worker=True,
+            )
+    except ExecutorError as err:
+        cause = err.__cause__
+        assert cause is not None
+        cause._worker_traceback = err.worker_traceback  # type: ignore[attr-defined]
+        raise cause
+    if worker is not None:
+        if prof is not None:
             worker.op_stats = prof.as_portable()
             worker.graph_walks = prof.graph_walks
             worker.walked_nodes = prof.walked_nodes
             worker.allocations = prof.allocations
-        else:
-            with collector.span(
-                "local_train", node=node.node_id, block=block_index,
-                steps=steps, worker=True,
-            ):
-                for _ in range(steps):
-                    strategy.local_step(node)
-    except Exception as exc:
-        exc._worker_traceback = traceback.format_exc()  # type: ignore[attr-defined]
-        raise
-    worker.spans = collector.records()
-    worker.fastpath_delta = fastpath.stats().delta_since(fastpath_base)
+        worker.spans = tel.tracer.records()
+        worker.fastpath_delta = fastpath.stats().delta_since(fastpath_base)
     return node.params, node.local_steps, node.gradient_evaluations, worker
 
 
@@ -325,7 +337,7 @@ class ParallelExecutor:
                 strategy,
                 node,
                 steps,
-                _node_seed(base_seed, block_index, node.node_id),
+                [base_seed, block_index, node.node_id],
                 trace,
             )
             for node in nodes
@@ -387,13 +399,7 @@ class ParallelExecutor:
             if record.name == "local_train" and record.depth == 0:
                 duration = record.duration
             tel.ingest_span(reparent(record, trace))
-        result_fields: Dict[str, Any] = {}
-        if tel.node_fingerprints:
-            result_fields["params_fp"] = params_fingerprint(node.params)
-        tel.events.emit(
-            "node_result", node=node.node_id, block=block_index,
-            steps=steps, duration_s=duration, **result_fields,
-        )
+        _emit_node_result(tel, node, block_index, steps, duration)
         fastpath.merge_stats(worker.fastpath_delta)
         for key, value in worker.fastpath_delta.items():
             cache_delta[key] = cache_delta.get(key, 0) + value

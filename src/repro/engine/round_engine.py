@@ -194,7 +194,7 @@ class RoundEngine:
         total = cfg.total_iterations
         num_blocks = (total + cfg.t0 - 1) // cfg.t0
         if injector is not None:
-            injector.begin([n.node_id for n in nodes])
+            injector.begin([n.node_id for n in nodes], num_blocks)
 
         history = RunLogger(
             name=name,
@@ -503,6 +503,11 @@ class RoundEngine:
     ) -> Tuple[int, int]:
         checkpoint = load_checkpoint(path)
         state = checkpoint.state
+        if state.get("version") != _CKPT_VERSION:
+            raise ValueError(
+                f"checkpoint format version {state.get('version')} is not "
+                f"supported (this reader needs {_CKPT_VERSION})"
+            )
         if state.get("algorithm") != strategy.name:
             raise ValueError(
                 f"checkpoint is for algorithm '{state.get('algorithm')}', "

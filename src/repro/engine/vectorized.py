@@ -19,9 +19,12 @@ so mixed fleets work and no strategy ever breaks by omission.
 
 Determinism contract
 --------------------
-Per-node generators follow the same ``[base_seed, block_index, node_id]``
-discipline as the other executors (built through ``instrument_node_rng``
-so the RNG ledger sees identical streams).  Stacked fp math may reorder
+Each group runs through the same
+:func:`~repro.engine.executors.run_node_block` as a serial node, with
+``stacked=True``: per-node generators follow the same ``[base_seed,
+block_index, node_id]`` discipline (so the RNG ledger sees identical
+streams), failures surface as the same ``ExecutorError``, and with
+telemetry off the block reads no clock.  Stacked fp math may reorder
 accumulations relative to the serial tapes, so serial-vs-vectorized
 equality is *tolerance*-gated; vectorized-vs-vectorized double runs are
 bit-identical (asserted by ``repro check-determinism --compare
@@ -37,23 +40,12 @@ per-block ``cache_hit`` fast-path summary.
 
 from __future__ import annotations
 
-import time
-import traceback
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..autodiff import fastpath
 from ..federated.node import EdgeNode
 from ..obs.telemetry import Telemetry, resolve
-from ..utils.rng import instrument_node_rng
-from ..utils.serialization import params_fingerprint
-from .executors import (
-    ExecutorError,
-    SerialExecutor,
-    _emit_cache_event,
-    _node_seed,
-)
+from .executors import SerialExecutor, _emit_cache_event, run_node_block
 
 __all__ = ["VectorizedExecutor"]
 
@@ -85,21 +77,6 @@ class VectorizedExecutor:
                 groups.setdefault(signature, []).append(node)
         return groups, fallback
 
-    @staticmethod
-    def _group_rngs(
-        group: Sequence[EdgeNode], block_index: int, base_seed: int
-    ) -> List[np.random.Generator]:
-        return [
-            instrument_node_rng(
-                np.random.default_rng(
-                    _node_seed(base_seed, block_index, node.node_id)
-                ),
-                block_index,
-                node.node_id,
-            )
-            for node in group
-        ]
-
     def run_block(
         self,
         strategy: Any,
@@ -112,74 +89,26 @@ class VectorizedExecutor:
     ) -> None:
         tel = resolve(telemetry)
         groups, fallback = self._partition(strategy, nodes)
-
-        if not tel.enabled:
-            for group in groups.values():
-                rngs = self._group_rngs(group, block_index, base_seed)
-                try:
-                    strategy.local_block_vectorized(group, steps, rngs)
-                except Exception as exc:
-                    raise ExecutorError(
-                        group[0].node_id, block_index, exc,
-                        worker_traceback=traceback.format_exc(),
-                    ) from exc
-            if fallback:
-                self._serial.run_block(
-                    strategy, fallback, steps,
-                    block_index=block_index, base_seed=base_seed,
-                    telemetry=telemetry,
-                )
-            return
-
-        events = tel.events
-        fastpath_base = fastpath.stats().as_dict()
-        vectorized_count = sum(len(g) for g in groups.values())
+        fastpath_base = fastpath.stats().as_dict() if tel.enabled else None
         for group in groups.values():
-            rngs = self._group_rngs(group, block_index, base_seed)
-            start = time.perf_counter()
-            span = tel.span(
-                "local_train_vectorized", block=block_index,
-                nodes=len(group), steps=steps,
+            run_node_block(
+                strategy, group, steps, block_index=block_index,
+                base_seed=base_seed, tel=tel, stacked=True,
             )
-            try:
-                strategy.local_block_vectorized(group, steps, rngs)
-            except Exception as exc:
-                worker_tb = traceback.format_exc()
-                span.set(error=repr(exc))
-                span.end()
-                events.emit(
-                    "node_error", node=group[0].node_id, block=block_index,
-                    error=repr(exc), traceback=worker_tb,
-                )
-                raise ExecutorError(
-                    group[0].node_id, block_index, exc,
-                    worker_traceback=worker_tb,
-                ) from exc
-            span.end()
-            duration = time.perf_counter() - start
-            for node in group:
-                result_fields: Dict[str, Any] = {}
-                if tel.node_fingerprints:
-                    result_fields["params_fp"] = params_fingerprint(
-                        node.params
-                    )
-                events.emit(
-                    "node_result", node=node.node_id, block=block_index,
-                    steps=steps, duration_s=duration / len(group),
-                    vectorized=True, **result_fields,
-                )
-        events.emit(
-            "vectorized_block", block=block_index,
-            vectorized_nodes=vectorized_count, fallback_nodes=len(fallback),
-            groups=len(groups),
-        )
-        tel.counter("fl_vectorized_nodes_total").inc(vectorized_count)
-        tel.counter("fl_vectorized_fallback_total").inc(len(fallback))
-        # Emit the stacked tapes' fast-path summary before the fallback
-        # runs (the serial executor emits its own for the rest).
-        _emit_cache_event(
-            tel, block_index, fastpath.stats().delta_since(fastpath_base)
-        )
+        if fastpath_base is not None:
+            vectorized_count = sum(len(g) for g in groups.values())
+            tel.events.emit(
+                "vectorized_block", block=block_index,
+                vectorized_nodes=vectorized_count,
+                fallback_nodes=len(fallback), groups=len(groups),
+            )
+            tel.counter("fl_vectorized_nodes_total").inc(vectorized_count)
+            tel.counter("fl_vectorized_fallback_total").inc(len(fallback))
+            # Emit the stacked tapes' fast-path summary before the fallback
+            # runs (the serial executor emits its own for the rest).
+            _emit_cache_event(
+                tel, block_index, fastpath.stats().delta_since(fastpath_base)
+            )
         if fallback:
             self._serial.run_block(
                 strategy, fallback, steps,

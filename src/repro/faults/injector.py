@@ -75,9 +75,9 @@ class FaultInjector:
         self.sim_clock_s = 0.0
 
     # -- lifecycle ------------------------------------------------------
-    def begin(self, node_ids: Sequence[int]) -> None:
-        """Bind the plan to this run's nodes and pre-register the counters."""
-        self.plan.check_nodes(set(node_ids))
+    def begin(self, node_ids: Sequence[int], num_blocks: int) -> None:
+        """Bind the plan to this run and pre-register the counters."""
+        self.plan.bind(set(node_ids), num_blocks)
         self._node_ids = sorted(node_ids)
         for kind in ("crash", "drop", "corrupt", "delay", "flaky"):
             self._tel.counter("fl_faults_total", kind=kind)

@@ -260,12 +260,21 @@ class FaultPlan:
         """The empty plan: the subsystem active, no faults injected."""
         return cls((), seed=seed)
 
-    def check_nodes(self, node_ids: Container[int]) -> None:
-        """Bind the plan to a run: reject explicit events naming a node
-        outside ``node_ids`` (rate schedules apply to any node)."""
-        for _, _, node_id in self._explicit:
-            if node_id not in node_ids:
-                raise ValueError(f"fault event targets unknown node {node_id}")
+    def bind(self, node_ids: Container[int], num_blocks: int) -> None:
+        """Bind the plan to a run of ``num_blocks`` blocks over ``node_ids``:
+        reject an explicit event for a node outside the run, and an explicit
+        event or a kill at a block the run never reaches."""
+        explicit = [e for events in self._explicit.values() for e in events]
+        for event in explicit:
+            if event.node_id not in node_ids:
+                raise ValueError(f"fault event targets unknown node {event.node_id}")
+        kills = [FaultEvent("kill", block) for block in sorted(self._kills)]
+        for event in explicit + kills:
+            if event.block >= num_blocks:
+                raise ValueError(
+                    f"{event.kind} fault at block {event.block} never fires: "
+                    f"the run has {num_blocks} blocks"
+                )
 
     # -- the interpreter ------------------------------------------------
     def hits(

@@ -16,15 +16,16 @@ hundred participate per round.  This module serves that regime:
     gauge (and its ``_peak`` high-water twin) make the bound observable.
 
 :class:`FleetSimulator`
-    A priority-queue scheduler over the :class:`~.network.LinkModel` clock.
-    Each round samples ids directly from the id space
+    One completion wave per round on the :class:`~.network.LinkModel`
+    clock.  Each round samples ids directly from the id space
     (:class:`~.sampling.IdSpaceSampler` — O(sampled), never an O(fleet)
-    scan), dispatches them against the current global model, and processes
-    ``completion``/``timeout`` events in simulated-time order.  Heap keys
-    are ``(time, kind rank, node_id)`` — a total order independent of
-    insertion order, so the event schedule is a pure function of the seed.
-    Local training happens when a node's completion event is *popped*:
-    materialize, run ``local_steps`` through the strategy's ``local_step``
+    scan), dispatches them all against the current global model, and
+    drains the whole wave before the round ends, in one ``sorted()``
+    order over ``(time, rank, node_id)`` — completions before timeouts at
+    equal time, a total order independent of dispatch order, so the
+    schedule is a pure function of the seed.  A drained completion
+    trains: materialize, run one
+    :func:`~repro.engine.executors.run_node_block` of ``local_steps``
     with the standard ``[seed, round, node]`` RNG stream, hand the update
     to the aggregator, evict.
 
@@ -52,17 +53,20 @@ each a pure function of ``(plan seed, schedule, round, node)`` at O(1)
 cost.  A plan therefore decides the same faults for a ``(round, node)``
 here as on the :class:`~repro.engine.round_engine.RoundEngine`; ``flaky``
 targets executor workers, which the fleet does not have, and is
-rejected.  Checkpoints round-trip the global model, the
-pending event queue, and the aggregation buffer — including the base
-models stale entries are anchored to — so kill-and-resume is bit-equal to
-an uninterrupted run.  All of it is proven by the property/chaos layer in
+rejected.  A dropped update is never asked for a delay, as on the engine.
+
+The base models stale entries are anchored to live in a plain ``{version:
+θ}`` map: a round adds the model it dispatched, and after the round the
+map is pruned to the base versions of the buffered entries.  Checkpoints
+(format version 2) round-trip the global model and the aggregation buffer
+with exactly those bases, so kill-and-resume is bit-equal to an
+uninterrupted run.  All of it is proven by the property/chaos layer in
 ``tests/federated/test_fleet_properties.py`` and
 ``tests/faults/test_fleet_chaos.py``.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -70,13 +74,14 @@ import numpy as np
 
 from ..autodiff import Tensor
 from ..data.dataset import Dataset, NodeSplit
+from ..engine.executors import run_node_block
 from ..faults.injector import RunInterrupted
 from ..faults.plan import FaultPlan
 from ..nn.parameters import Params, all_finite, detach, weighted_average
 from ..obs.telemetry import Telemetry, resolve
 from ..utils.checkpoint import load_checkpoint, save_checkpoint
 from ..utils.logging import RunLogger
-from ..utils.rng import instrument_node_rng, spawn
+from ..utils.rng import spawn
 from ..utils.serialization import payload_bytes
 from .network import CommunicationLog, LinkModel
 from .node import EdgeNode
@@ -96,13 +101,13 @@ __all__ = [
 #: staleness histogram bucket edges (rounds of lag, not seconds)
 _STALENESS_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
-#: heap-key rank per event kind: completions before timeouts at equal time
-_EVENT_RANK = {"completion": 0, "timeout": 1}
+#: wave-order rank per outcome: completions before timeouts at equal time
+_COMPLETION, _TIMEOUT = 0, 1
 
 #: checkpoint tree prefixes for buffer entries and their base models
 _BUF_PREFIX = "::fleet::buf::"
 _VER_PREFIX = "::fleet::ver::"
-_FLEET_CKPT_VERSION = 1
+_FLEET_CKPT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -295,8 +300,8 @@ class BufferedAggregator:
         """Aggregate and clear the buffer; returns ``(θ_new, entry stats)``.
 
         ``base_of`` must map every ``base_version`` present in the buffer
-        to the global model that version broadcast (the simulator's
-        version store retains exactly those).
+        to the global model that version broadcast (the simulator's base
+        map holds exactly those).
         """
         if not self.entries:
             raise ValueError("cannot flush an empty buffer")
@@ -328,68 +333,11 @@ class BufferedAggregator:
                     "node": entry.node_id,
                     "staleness": staleness,
                     "discount": d,
-                    "base_version": entry.base_version,
                 }
             )
         merged = weighted_average(corrected, weights.tolist())
         self.entries = []
         return merged, stats
-
-
-class _VersionStore:
-    """Refcounted store of the global models in-flight work is anchored to."""
-
-    def __init__(self) -> None:
-        self._trees: Dict[int, Params] = {}
-        self._refs: Dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._trees)
-
-    def retain(self, version: int, params: Params) -> None:
-        if version not in self._trees:
-            self._trees[version] = detach(params)
-            self._refs[version] = 0
-        self._refs[version] += 1
-
-    def release(self, version: int) -> None:
-        refs = self._refs.get(version)
-        if refs is None:
-            raise KeyError(f"version {version} not retained")
-        if refs <= 1:
-            del self._refs[version]
-            del self._trees[version]
-        else:
-            self._refs[version] = refs - 1
-
-    def get(self, version: int) -> Params:
-        return self._trees[version]
-
-    def snapshot(self) -> Dict[int, Params]:
-        return dict(self._trees)
-
-    def refcounts(self) -> Dict[int, int]:
-        """Live refcount per retained version (for checkpointing).
-
-        These are the counts that must survive a save/resume round-trip:
-        one per in-flight dispatch *plus* one per buffered update anchored
-        to the version.  Recomputing them from the buffer alone (as the
-        checkpoint writer once did) undercounts versions held only by
-        pending events, orphaning them on resume.
-        """
-        return dict(self._refs)
-
-    def check_invariant(self) -> None:
-        """Every retained version has a tree, and vice versa."""
-        if self._refs.keys() != self._trees.keys():
-            raise AssertionError(
-                f"version store invariant violated: refs for "
-                f"{sorted(self._refs)} vs trees for {sorted(self._trees)}"
-            )
-        if any(r <= 0 for r in self._refs.values()):
-            raise AssertionError(
-                f"version store holds non-positive refcounts: {self._refs}"
-            )
 
 
 # ----------------------------------------------------------------------
@@ -495,14 +443,14 @@ class FleetSimulator:
                 "flaky faults target executor workers, which the fleet "
                 "path does not have"
             )
-        self.faults.check_nodes(range(config.fleet_size))
+        self.faults.bind(range(config.fleet_size), config.rounds)
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = int(checkpoint_every)
         self.buffer = BufferedAggregator(
             config.effective_buffer, config.staleness_alpha
         )
-        self._versions = _VersionStore()
-        self._pending: List[Tuple[float, int, int, Dict[str, Any]]] = []
+        #: the global model each buffered entry was trained from, by version
+        self._bases: Dict[int, Params] = {}
         self.params: Optional[Params] = None
         self.server_version = 0
         self.sim_clock_s = 0.0
@@ -619,118 +567,103 @@ class FleetSimulator:
         staleness_hist: Any,
         sampled_total: Any,
     ) -> int:
-        """Sample, dispatch, and drain one round's wave; returns deliveries."""
+        """Sample, dispatch, and drain one round's wave; returns deliveries.
+
+        The wave is dispatched against one global model and drained before
+        the round ends, in one ``sorted()`` order over ``(time, rank,
+        node_id)``: unique keys, so dispatch order does not matter.
+        """
         cfg = self.config
         events = tel.events
         assert self.params is not None
+        base_version, base = self.server_version, self.params
+        self._bases[base_version] = base
         ids = self.sampler.select_ids(cfg.fleet_size, round_index)
         sampled_total.inc(len(ids))
         events.emit(
             "fleet_round_start",
             block=round_index,
             sampled=len(ids),
-            version=self.server_version,
+            version=base_version,
             clock=self.sim_clock_s,
         )
-        payload = payload_bytes(self.params)
-        heap = self._pending
+        payload = payload_bytes(base)
         faults = self.faults
+        wave: List[Tuple[float, int, int, bool]] = []
         for node_id in ids:
             if faults.crashed(round_index, node_id):
                 self._record_fault("crash", round_index, node_id)
                 continue  # unreachable: no sync, no dispatch, no bytes
             self.comm_log.charge_download(round_index + 1, node_id, payload)
-            delay = faults.delay_s(round_index, node_id)
-            if delay > 0.0:
+            # A dropped update is lost in transit, so it is never delayed.
+            dropped = faults.dropped(round_index, node_id)
+            delay = 0.0 if dropped else faults.delay_s(round_index, node_id)
+            if dropped:
+                self._record_fault("drop", round_index, node_id)
+            elif delay > 0.0:
                 self._record_fault("delay", round_index, node_id)
             duration = (
                 cfg.local_steps * self._seconds_per_step(node_id)
                 + cfg.link.upload_time(payload)
                 + delay
             )
-            dropped = faults.dropped(round_index, node_id)
-            if dropped:
-                self._record_fault("drop", round_index, node_id)
-            info = {
-                "round": round_index,
-                "version": self.server_version,
-                "dropped": dropped,
-            }
             events.emit(
                 "fleet_dispatch",
                 block=round_index,
                 node=node_id,
-                version=self.server_version,
+                version=base_version,
                 eta=self.sim_clock_s + duration,
             )
             if (
                 cfg.round_timeout_s is not None
                 and duration > cfg.round_timeout_s
             ):
-                heapq.heappush(
-                    heap,
-                    (
-                        self.sim_clock_s + cfg.round_timeout_s,
-                        _EVENT_RANK["timeout"],
-                        node_id,
-                        info,
-                    ),
-                )
+                when, rank = self.sim_clock_s + cfg.round_timeout_s, _TIMEOUT
             else:
-                heapq.heappush(
-                    heap,
-                    (
-                        self.sim_clock_s + duration,
-                        _EVENT_RANK["completion"],
-                        node_id,
-                        info,
-                    ),
-                )
-            self._versions.retain(self.server_version, self.params)
+                when, rank = self.sim_clock_s + duration, _COMPLETION
+            wave.append((when, rank, node_id, dropped))
 
         delivered = 0
         wave_end = self.sim_clock_s
-        while heap:
-            when, rank, node_id, info = heapq.heappop(heap)
+        for when, rank, node_id, dropped in sorted(wave):
             wave_end = max(wave_end, when)
-            base_version = int(info["version"])
-            if rank == _EVENT_RANK["timeout"]:
+            if rank == _TIMEOUT:
                 tel.counter("fl_stragglers_dropped_total").inc()
                 events.emit(
-                    "fleet_timeout", block=info["round"], node=node_id,
+                    "fleet_timeout", block=round_index, node=node_id,
                     clock=when,
                 )
-                self._versions.release(base_version)
                 continue
-            if info["dropped"]:
+            if dropped:
                 # Computed but lost in transit: the simulated time passed,
                 # the update never reaches the buffer.
-                self._versions.release(base_version)
                 continue
-            update = self._train_node(info["round"], node_id, base_version)
-            corrupt = faults.corruption(info["round"], node_id)
+            node = self.registry.materialize(node_id, base)
+            run_node_block(
+                self.strategy, [node], cfg.local_steps,
+                block_index=round_index, base_seed=cfg.seed,
+            )
+            assert node.params is not None
+            update = detach(node.params)
+            self.registry.evict(node_id, self.strategy)
+            corrupt = faults.corruption(round_index, node_id)
             if corrupt is not None:
-                self._record_fault("corrupt", info["round"], node_id)
-                update = faults.corrupt(
-                    update, corrupt, info["round"], node_id
-                )
+                self._record_fault("corrupt", round_index, node_id)
+                update = faults.corrupt(update, corrupt, round_index, node_id)
             self.comm_log.charge_upload(
-                info["round"] + 1, node_id, payload_bytes(update)
+                round_index + 1, node_id, payload_bytes(update)
             )
             staleness = self.server_version - base_version
             events.emit(
                 "fleet_completion",
-                block=info["round"],
+                block=round_index,
                 node=node_id,
                 staleness=staleness,
                 clock=when,
             )
             if not all_finite(update):
                 tel.counter("fl_quarantined_total").inc()
-                events.emit(
-                    "quarantine", block=info["round"], node=node_id
-                )
-                self._versions.release(base_version)
+                events.emit("quarantine", block=round_index, node=node_id)
                 continue
             delivered += 1
             staleness_hist.observe(float(staleness))
@@ -748,6 +681,11 @@ class FleetSimulator:
         # mode carries the partial buffer into the next round (FedBuff).
         if cfg.buffer_size is None and len(self.buffer):
             self._flush(round_index, tel)
+        # Keep only the bases the carried-over entries are anchored to.
+        self._bases = {
+            entry.base_version: self._bases[entry.base_version]
+            for entry in self.buffer.entries
+        }
         self.sim_clock_s = wave_end
         tel.gauge("fl_sim_clock_seconds").set(self.sim_clock_s)
         events.emit(
@@ -768,36 +706,11 @@ class FleetSimulator:
             count=1,
         )
 
-    def _train_node(
-        self, round_index: int, node_id: int, base_version: int
-    ) -> Params:
-        """Materialize, train one block, evict; returns the update."""
-        strategy = self.strategy
-        cfg = self.config
-        node = self.registry.materialize(
-            node_id, self._versions.get(base_version)
-        )
-        strategy.bind_node_rng(
-            instrument_node_rng(
-                np.random.default_rng([cfg.seed, round_index, node_id]),
-                round_index,
-                node_id,
-            )
-        )
-        for _ in range(cfg.local_steps):
-            strategy.local_step(node)
-        assert node.params is not None
-        update = detach(node.params)
-        self.registry.evict(node_id, strategy)
-        return update
-
     def _flush(self, round_index: int, tel: Any) -> None:
         assert self.params is not None
         merged, stats = self.buffer.flush(
-            self.params, self.server_version, self._versions.snapshot()
+            self.params, self.server_version, self._bases
         )
-        for stat in stats:
-            self._versions.release(int(stat["base_version"]))
         self.params = merged
         self.server_version += 1
         self.updates_aggregated += len(stats)
@@ -822,27 +735,18 @@ class FleetSimulator:
 
     # -- checkpoint / resume -------------------------------------------
     def _save(self, round_index: int, history: RunLogger) -> None:
-        """Checkpoint θ + buffer + base versions + pending events."""
+        """Checkpoint θ, the buffer, and the bases its entries anchor to."""
         assert self.params is not None
         tree: Params = dict(detach(self.params))
-        buffer_meta: List[Dict[str, Any]] = []
+        buffer_meta = [
+            {"node": int(e.node_id), "weight": e.weight,
+             "base_version": e.base_version}
+            for e in self.buffer.entries
+        ]
         for i, entry in enumerate(self.buffer.entries):
-            buffer_meta.append(
-                {
-                    "node": int(entry.node_id),
-                    "weight": float(entry.weight),
-                    "base_version": int(entry.base_version),
-                }
-            )
             for name, tensor in entry.params.items():
                 tree[f"{_BUF_PREFIX}{i}::{name}"] = tensor
-        versions = self._versions.snapshot()
-        # Serialize the store's live refcounts (buffer anchors + pending
-        # in-flight events).  Deriving them from the buffer alone loses the
-        # pending retains, so a resumed run would drop versions its pending
-        # events still need and crash on their release.
-        refs = self._versions.refcounts()
-        for version, params in versions.items():
+        for version, params in self._bases.items():
             for name, tensor in params.items():
                 tree[f"{_VER_PREFIX}{version}::{name}"] = tensor
         state = {
@@ -858,11 +762,6 @@ class FleetSimulator:
             "updates_aggregated": int(self.updates_aggregated),
             "resident_peak": int(self.registry.resident_peak),
             "buffer": buffer_meta,
-            "version_refs": {str(v): int(r) for v, r in refs.items()},
-            "pending_events": [
-                [float(t), int(rank), int(node), dict(info)]
-                for t, rank, node, info in sorted(self._pending)
-            ],
             "history": history.records,
         }
         save_checkpoint(self.checkpoint_path, tree, state)
@@ -883,6 +782,11 @@ class FleetSimulator:
             raise ValueError(
                 f"{self.checkpoint_path} is not a fleet checkpoint"
             )
+        if state.get("version") != _FLEET_CKPT_VERSION:
+            raise ValueError(
+                f"fleet checkpoint format version {state.get('version')} is "
+                f"not supported (this reader needs {_FLEET_CKPT_VERSION})"
+            )
         if state.get("algorithm") != self.strategy.name:
             raise ValueError(
                 f"checkpoint is for algorithm '{state.get('algorithm')}', "
@@ -897,14 +801,13 @@ class FleetSimulator:
         buffer_trees: Dict[int, Params] = {}
         version_trees: Dict[int, Params] = {}
         for name, tensor in checkpoint.params.items():
-            if name.startswith(_BUF_PREFIX):
-                index_text, _, leaf = name[len(_BUF_PREFIX):].partition("::")
-                buffer_trees.setdefault(int(index_text), {})[leaf] = tensor
-            elif name.startswith(_VER_PREFIX):
-                version_text, _, leaf = name[len(_VER_PREFIX):].partition(
-                    "::"
-                )
-                version_trees.setdefault(int(version_text), {})[leaf] = tensor
+            for prefix, trees in (
+                (_BUF_PREFIX, buffer_trees), (_VER_PREFIX, version_trees)
+            ):
+                if name.startswith(prefix):
+                    key, _, leaf = name[len(prefix):].partition("::")
+                    trees.setdefault(int(key), {})[leaf] = tensor
+                    break
             else:
                 params[name] = tensor
         self.params = params
@@ -923,24 +826,15 @@ class FleetSimulator:
             )
             for i, meta in enumerate(state.get("buffer", []))
         ]
-        self._versions = _VersionStore()
-        for version_text, refs in state.get("version_refs", {}).items():
-            version = int(version_text)
-            count = int(refs)
-            if count <= 0 or version not in version_trees:
+        self._bases = {}
+        for entry in self.buffer.entries:
+            if entry.base_version not in version_trees:
                 raise ValueError(
-                    f"corrupt fleet checkpoint: version {version} has "
-                    f"refcount {count} and "
-                    f"{'a' if version in version_trees else 'no'} saved tree"
+                    f"corrupt fleet checkpoint: buffered update of node "
+                    f"{entry.node_id} is anchored to version "
+                    f"{entry.base_version}, which has no saved base tree"
                 )
-            for _ in range(count):
-                self._versions.retain(version, version_trees[version])
-        self._versions.check_invariant()
-        self._pending = [
-            (float(t), int(rank), int(node), dict(info))
-            for t, rank, node, info in state.get("pending_events", [])
-        ]
-        heapq.heapify(self._pending)
+            self._bases[entry.base_version] = version_trees[entry.base_version]
         history.load_records(state.get("history", []))
         tel = resolve(self.telemetry)
         tel.counter("fl_resumes_total").inc()

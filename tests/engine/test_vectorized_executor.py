@@ -170,3 +170,36 @@ class TestTelemetry:
         assert all(r["fallback_nodes"] == 6 for r in blocks)
         assert tel.registry.get("fl_vectorized_nodes_total").value == 0
         assert tel.registry.get("fl_vectorized_fallback_total").value > 0
+
+
+class OneNodeGroups(VectorizedExecutor):
+    """Stacks every node alone: each block is N=1 ``local_block_vectorized``."""
+
+    @staticmethod
+    def _partition(strategy, nodes):
+        groups, fallback = VectorizedExecutor._partition(strategy, nodes)
+        assert not fallback
+        return {(node.node_id,): [node] for node in nodes}, []
+
+
+@pytest.mark.parametrize(
+    "name,rtol", [("fedavg", 0.0), ("fedprox", 0.0), ("fedml", 1e-12)]
+)
+def test_one_node_stacked_block_matches_serial_step(name, rtol):
+    """A one-node stacked block is the serial step on the golden workload:
+    bit for bit for Sgd and Prox; Meta's stacked meta-gradient differs from
+    the serial one in the last bits (measured max 1.4e-16), so it is held
+    to rtol 1e-12."""
+    from .capture_golden import build_runners, build_workload
+    from .test_seed_equivalence import GOLDEN
+
+    fed, sources, model = build_workload()
+    runner = build_runners(model, executor=OneNodeGroups())[name]
+    result = runner.fit(fed, sources)
+    expected = np.array(GOLDEN[name]["final_params"])
+    if rtol == 0.0:
+        assert to_vector(result.params).tobytes() == expected.tobytes()
+    else:
+        np.testing.assert_allclose(
+            to_vector(result.params), expected, rtol=rtol, atol=0.0
+        )

@@ -6,8 +6,8 @@ to the event-driven fleet simulator under *buffered* aggregation, where
 determinism is harder — completion order, staleness corrections, and the
 carry-over buffer all have to be pure functions of the seed.  Plus the
 strongest rail: kill-and-resume bit-equal to uninterrupted, which forces
-the checkpoint to round-trip the event queue and the aggregation buffer
-(including the base models stale entries are anchored to).
+the checkpoint to round-trip the aggregation buffer (including the base
+models stale entries are anchored to).
 """
 
 import numpy as np
@@ -22,6 +22,7 @@ from repro.federated.fleet import (
     SyntheticShardFactory,
 )
 from repro.nn import LogisticRegression
+from repro.utils.checkpoint import load_checkpoint, save_checkpoint
 
 
 def build_simulator(faults=None, checkpoint=None, seed=0, rounds=6,
@@ -107,7 +108,7 @@ class TestFleetChaosDeterminism:
 
 class TestFleetKillAndResume:
     def test_kill_and_resume_bit_equal_to_uninterrupted(self, tmp_path):
-        """The checkpoint must round-trip queue + buffer + versions."""
+        """The checkpoint must round-trip the buffer and its bases."""
         baseline = build_simulator().run()
 
         ckpt = str(tmp_path / "fleet.ckpt")
@@ -155,6 +156,34 @@ class TestFleetKillAndResume:
         other = build_simulator(checkpoint=ckpt, seed=1)
         with pytest.raises(ValueError, match="seed"):
             other.run(resume=True)
+
+    def test_resume_rejects_other_format_version(self, tmp_path):
+        ckpt = str(tmp_path / "fleet.ckpt")
+        plan = FaultPlan.from_spec("kill:block=1", seed=0)
+        with pytest.raises(RunInterrupted):
+            build_simulator(faults=plan, checkpoint=ckpt).run()
+        checkpoint = load_checkpoint(ckpt)
+        save_checkpoint(
+            ckpt, checkpoint.params, dict(checkpoint.state, version=1)
+        )
+        with pytest.raises(ValueError, match="version 1 .*needs 2"):
+            build_simulator(checkpoint=ckpt).run(resume=True)
+
+    def test_resume_rejects_buffered_entry_without_base_tree(self, tmp_path):
+        ckpt = str(tmp_path / "fleet.ckpt")
+        plan = FaultPlan.from_spec("kill:block=1", seed=0)
+        with pytest.raises(RunInterrupted):
+            build_simulator(faults=plan, checkpoint=ckpt).run()
+        checkpoint = load_checkpoint(ckpt)
+        assert checkpoint.state["buffer"], "the kill must leave entries"
+        kept = {
+            name: tensor
+            for name, tensor in checkpoint.params.items()
+            if not name.startswith("::fleet::ver::")
+        }
+        save_checkpoint(ckpt, kept, checkpoint.state)
+        with pytest.raises(ValueError, match="no saved base tree"):
+            build_simulator(checkpoint=ckpt).run(resume=True)
 
     def test_resume_requires_checkpoint_path(self):
         with pytest.raises(ValueError, match="checkpoint_path"):

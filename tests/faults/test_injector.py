@@ -35,10 +35,11 @@ def make_node(node_id, value=1.0):
     return node
 
 
-def make_injector(events, policy=None, telemetry=None, num_nodes=4):
+def make_injector(events, policy=None, telemetry=None, num_nodes=4,
+                  num_blocks=4):
     plan = FaultPlan([ExplicitSchedule(tuple(events))])
     injector = FaultInjector(plan, policy=policy, telemetry=telemetry)
-    injector.begin(list(range(num_nodes)))
+    injector.begin(list(range(num_nodes)), num_blocks)
     return injector
 
 
@@ -80,7 +81,7 @@ class TestCrashAndKill:
 
     def test_kill_scheduled(self):
         injector = FaultInjector(FaultPlan([KillSchedule(block=3)]))
-        injector.begin([0, 1])
+        injector.begin([0, 1], 4)
         assert not injector.kill_scheduled(2)
         assert injector.kill_scheduled(3)
 

@@ -100,9 +100,9 @@ class TestCompile:
         nothing: the injector's per-block crash set is the same."""
         plan = FaultPlan([CrashSchedule(rate=0.5)], seed=7)
         forward = FaultInjector(plan)
-        forward.begin(NODES)
+        forward.begin(NODES, BLOCKS)
         backward = FaultInjector(plan)
-        backward.begin(list(reversed(NODES)))
+        backward.begin(list(reversed(NODES)), BLOCKS)
         for block in range(BLOCKS):
             assert forward.crashed(block) == backward.crashed(block)
 
@@ -128,14 +128,14 @@ class TestCompile:
     def test_explicit_event_for_unknown_node_rejected(self):
         plan = FaultPlan([ExplicitSchedule((FaultEvent("drop", 0, 99),))])
         with pytest.raises(ValueError, match="unknown node 99"):
-            FaultInjector(plan).begin(NODES)  # the engine binds its nodes
-        FaultInjector(plan).begin(NODES + [99])  # a run that has node 99
+            FaultInjector(plan).begin(NODES, BLOCKS)  # the engine binds its nodes
+        FaultInjector(plan).begin(NODES + [99], BLOCKS)  # a run that has node 99
 
     def test_kill_schedule_is_not_node_scoped(self):
         plan = FaultPlan([KillSchedule(block=2)])
         assert [b for b in range(BLOCKS) if plan.kill_after(b)] == [2]
         assert plan.kinds == {"kill"}
-        plan.check_nodes([])  # no node to bind
+        plan.bind([], BLOCKS)  # no node to bind
 
     def test_delays_accumulate_and_flaky_takes_max(self):
         events = (

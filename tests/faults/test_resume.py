@@ -11,6 +11,8 @@ from repro.engine import EngineOptions
 from repro.faults import (
     CorruptSchedule,
     CrashSchedule,
+    ExplicitSchedule,
+    FaultEvent,
     FaultPlan,
     FlakyWorkerSchedule,
     KillSchedule,
@@ -19,6 +21,7 @@ from repro.faults import (
 )
 from repro.nn.parameters import to_vector
 from repro.obs import MemorySink, Telemetry
+from repro.utils.checkpoint import load_checkpoint, save_checkpoint
 
 from ..engine.capture_golden import build_runners, build_workload
 
@@ -161,6 +164,37 @@ class TestResumeValidation:
         )
         with pytest.raises(ValueError, match="seed"):
             reseeded.fit(fed, sources, resume=True)
+
+
+    def test_other_format_version_rejected(self, tmp_path):
+        ckpt = str(tmp_path / "run.ckpt")
+        run("fedml", EngineOptions(checkpoint_path=ckpt))
+        checkpoint = load_checkpoint(ckpt)
+        save_checkpoint(
+            ckpt, checkpoint.params, dict(checkpoint.state, version=2)
+        )
+        with pytest.raises(ValueError, match="version 2 .*needs 1"):
+            run("fedml", EngineOptions(checkpoint_path=ckpt), resume=True)
+
+
+class TestPlanBinding:
+    """The golden workload runs blocks 0-3 (T=12, T0=3)."""
+
+    def test_kill_past_last_block_rejected(self):
+        options = EngineOptions(faults=FaultPlan([KillSchedule(block=4)]))
+        with pytest.raises(ValueError, match="kill fault at block 4"):
+            run("fedavg", options)
+
+    def test_explicit_event_past_last_block_rejected(self):
+        late = ExplicitSchedule((FaultEvent("drop", 4, 0),))
+        with pytest.raises(ValueError, match="drop fault at block 4"):
+            run("fedavg", EngineOptions(faults=FaultPlan([late])))
+
+    def test_kill_at_last_block_fires(self):
+        options = EngineOptions(faults=FaultPlan([KillSchedule(block=3)]))
+        with pytest.raises(RunInterrupted) as excinfo:
+            run("fedavg", options)
+        assert excinfo.value.block == 3
 
 
 class TestAcceptance:

@@ -261,6 +261,18 @@ class TestFleetFaults:
         inside = FaultPlan([ExplicitSchedule((FaultEvent("drop", 0, 99),))])
         fleet_with_faults(inside, fleet=100)
 
+    def test_fault_past_last_round_rejected(self):
+        # fleet_with_faults runs rounds 0 and 1: nothing at round 2+ fires
+        for spec in ("kill:block=2", "kill:block=99"):
+            with pytest.raises(ValueError, match="kill fault at block"):
+                fleet_with_faults(FaultPlan.from_spec(spec))
+        late = FaultPlan([ExplicitSchedule((FaultEvent("drop", 2, 1),))])
+        with pytest.raises(ValueError, match="drop fault at block 2"):
+            fleet_with_faults(late)
+        fleet_with_faults(FaultPlan.from_spec("kill:block=1"))
+        last = FaultPlan([ExplicitSchedule((FaultEvent("drop", 1, 1),))])
+        fleet_with_faults(last)
+
     def test_empty_plan_queries_create_no_generators(self, monkeypatch):
         calls = []
         real_spawn = plan_module.spawn

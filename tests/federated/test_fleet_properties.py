@@ -1,26 +1,31 @@
-"""Hypothesis property suite for the fleet simulator (ISSUE 9 satellite).
+"""Hypothesis property suite for the fleet simulator.
 
-Three claims the event-driven design stands on:
+Four claims the event-driven design stands on:
 
-1. The event schedule is a *total* order — heap keys ``(time, rank,
-   node_id)`` are unique per wave — so pop order (and therefore the final
-   θ) is independent of the order events were pushed.
+1. The wave schedule is a *total* order — sort keys ``(time, rank,
+   node_id)`` are unique per wave — so drain order (and therefore the
+   final θ) is independent of the order nodes were dispatched.
 2. Lazy residency is invisible: materialize → evict → rematerialize
    yields bit-identical node state to never evicting.
 3. Buffered aggregation at staleness 0 *is* synchronous FedAvg: when the
    buffer only ever holds fresh entries, the flush passes each update
    through untouched and the reduction is the same weighted mean, bit for
    bit, on the same sample sequence.
+4. The simulator keeps exactly the base models the buffer needs: after
+   every round, and across a save/resume, the base map holds the base
+   version of each buffered entry and nothing else.
 """
 
-import heapq
+import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fedavg import FedAvgConfig
 from repro.engine.strategies import SgdStrategy
+from repro.faults import FaultPlan, RunInterrupted
 from repro.federated.fleet import (
     FleetConfig,
     FleetRegistry,
@@ -79,22 +84,15 @@ def trees_equal(a, b):
     st.randoms(use_true_random=False),
 )
 @settings(max_examples=60, deadline=None)
-def test_heap_pop_order_independent_of_insertion_order(specs, shuffler):
-    """(time, rank, node_id) keys are unique ⇒ one canonical pop order."""
-    # One event per node per wave, exactly as the simulator pushes them.
+def test_wave_order_independent_of_dispatch_order(specs, shuffler):
+    """(time, rank, node_id) keys are unique ⇒ one canonical drain order."""
+    # One entry per node per wave, exactly as the simulator dispatches them.
     keys = [
         (when, rank, node_id) for node_id, (when, rank) in enumerate(specs)
     ]
     shuffled = list(keys)
     shuffler.shuffle(shuffled)
-
-    def drain(items):
-        heap = []
-        for item in items:
-            heapq.heappush(heap, item)
-        return [heapq.heappop(heap) for _ in range(len(heap))]
-
-    assert drain(shuffled) == drain(keys) == sorted(keys)
+    assert sorted(shuffled) == sorted(keys)
 
 
 @given(st.integers(0, 2**16), st.booleans())
@@ -155,70 +153,66 @@ def test_staleness_zero_buffered_reduces_to_synchronous(seed, sampled):
 
 
 # ----------------------------------------------------------------------
-# 4. Version-store refcount invariant (ISSUE 10 satellite)
+# 4. The base map holds exactly the buffered entries' base versions
 # ----------------------------------------------------------------------
-# The checkpoint writer once recomputed refcounts from the buffer alone,
-# dropping the retains held by pending events — resume then orphaned
-# those versions.  The property: *any* interleaving of retain / release /
-# checkpoint+resume leaves the store with exactly one refcount per tree
-# (len(_refs) == len(_trees)), every count positive, and a resume that
-# reproduces the counts bit for bit.
+class CheckedFleet(FleetSimulator):
+    """Asserts the base-map invariant after every round and every resume."""
+
+    def check_bases(self):
+        assert set(self._bases) == {
+            entry.base_version for entry in self.buffer.entries
+        }
+
+    def _run_round(self, *args):
+        delivered = super()._run_round(*args)
+        self.check_bases()
+        return delivered
+
+    def _restore(self, history):
+        start_round = super()._restore(history)
+        self.check_bases()
+        return start_round
 
 
-def _version_tree(version):
-    from repro.autodiff import Tensor
-
-    return {"w": Tensor(np.full(4, float(version)))}
-
-
-def _roundtrip(store):
-    """Serialize the store the way _save does and rebuild as _restore does."""
-    from repro.federated.fleet import _VersionStore
-
-    refs = store.refcounts()
-    trees = store.snapshot()
-    rebuilt = _VersionStore()
-    for version, count in sorted(refs.items()):
-        assert count > 0 and version in trees
-        for _ in range(count):
-            rebuilt.retain(version, trees[version])
-    rebuilt.check_invariant()
-    assert rebuilt.refcounts() == refs
-    for version, tree in rebuilt.snapshot().items():
-        assert trees_equal(tree, trees[version])
-    return rebuilt
+def checked_fleet(seed, buffer_size, faults=None, checkpoint=None):
+    shards = SyntheticShardFactory(seed=seed)
+    strategy = SgdStrategy(
+        LogisticRegression(shards.input_dim, shards.num_classes),
+        FedAvgConfig(
+            learning_rate=0.05, t0=1, total_iterations=5, eval_every=1,
+            seed=seed,
+        ),
+    )
+    config = FleetConfig(
+        fleet_size=200, sampled_per_round=6, rounds=5, local_steps=1,
+        seed=seed, buffer_size=buffer_size,
+    )
+    return CheckedFleet(
+        strategy, config, shards=shards, faults=faults,
+        checkpoint_path=checkpoint,
+    )
 
 
 @given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(["retain", "release", "roundtrip"]),
-            st.integers(min_value=0, max_value=7),
-        ),
-        max_size=40,
-    )
+    st.integers(0, 2**16),
+    st.integers(1, 8),
+    st.integers(0, 3),
+    st.sampled_from(["", "crash:rate=0.3;drop:rate=0.3"]),
 )
-@settings(max_examples=100, deadline=None)
-def test_version_store_refcount_invariant(script):
-    from repro.federated.fleet import _VersionStore
-
-    store = _VersionStore()
-    expected = {}  # version -> refcount, the oracle
-    for op, pick in script:
-        if op == "retain":
-            version = pick
-            store.retain(version, _version_tree(version))
-            expected[version] = expected.get(version, 0) + 1
-        elif op == "release":
-            if not expected:
-                continue
-            version = sorted(expected)[pick % len(expected)]
-            store.release(version)
-            expected[version] -= 1
-            if expected[version] == 0:
-                del expected[version]
-        else:
-            store = _roundtrip(store)
-        store.check_invariant()
-        assert store.refcounts() == expected
-        assert len(store.refcounts()) == len(store.snapshot())
+@settings(max_examples=12, deadline=None)
+def test_base_map_holds_exactly_the_buffered_versions(
+    seed, buffer_size, kill_block, faults
+):
+    baseline = FaultPlan.from_spec(faults, seed=1) if faults else None
+    uninterrupted = checked_fleet(seed, buffer_size, baseline).run()
+    kill = f"kill:block={kill_block}"
+    plan = FaultPlan.from_spec(f"{faults};{kill}" if faults else kill, seed=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = f"{tmp}/fleet.ckpt"
+        with pytest.raises(RunInterrupted):
+            checked_fleet(seed, buffer_size, plan, ckpt).run()
+        resumed = checked_fleet(seed, buffer_size, plan, ckpt).run(
+            resume=True
+        )
+    assert trees_equal(resumed.params, uninterrupted.params)
+    assert resumed.history.records == uninterrupted.history.records
